@@ -43,10 +43,6 @@ class Geometry:
     def total_pages(self) -> int:
         return self.total_blocks * self.pages_per_block
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.total_pages * self.page_size
-
     def validate(self, gamma: int) -> None:
         for field in ("channels", "blocks_per_channel", "pages_per_block", "page_size"):
             if getattr(self, field) <= 0:
@@ -66,15 +62,6 @@ class Latencies:
     erase_us: float = 1500.0
 
 
-@dataclass
-class OobRecord:
-    """Reverse-mapping window of one page: entry j is the LPA stored at
-    ppa - gamma + j, or None outside the block."""
-
-    lpa: int
-    window: tuple
-
-
 class BlockState:
     __slots__ = (
         "lpas",
@@ -83,7 +70,6 @@ class BlockState:
         "valid_count",
         "erase_count",
         "program_seq",
-        "erase_seq",
     )
 
     def __init__(self):
@@ -93,7 +79,6 @@ class BlockState:
         self.valid_count = 0
         self.erase_count = 0
         self.program_seq = -1
-        self.erase_seq = -1
 
 
 class FlashDevice:
@@ -108,7 +93,7 @@ class FlashDevice:
         self._recycled_head = [0] * geometry.channels
         self._rr = 0  # round-robin channel cursor
         self._free_count = geometry.total_blocks
-        self.op_seq = 0  # global program/erase sequence for recovery ordering
+        self.op_seq = 0  # global program sequence for recovery ordering
         self.flash_reads = 0
         self.flash_writes = 0
         self.flash_erases = 0
@@ -147,6 +132,12 @@ class FlashDevice:
                 return bid
         raise CapacityError("no free flash blocks")
 
+    def release_block(self, block_id: int) -> None:
+        """Return an erased or never-programmed block to its channel's free
+        list (FIFO: it is reused after the blocks already there)."""
+        self._recycled[self.channel_of(block_id)].append(block_id)
+        self._free_count += 1
+
     def allocate_worn_block(self) -> int:
         """Free block with the highest erase count (wear-leveling target)."""
         best = None
@@ -168,9 +159,6 @@ class FlashDevice:
 
     def channel_of(self, block_id: int) -> int:
         return block_id // self.geo.blocks_per_channel
-
-    def block_of(self, ppa: int) -> int:
-        return ppa // self.geo.pages_per_block
 
     def program_block(self, block_id: int, entries) -> tuple:
         """Program a batch of (lpa, payload) pairs into an erased block.
@@ -212,18 +200,6 @@ class FlashDevice:
         self.channel_busy_us[self.channel_of(ppa // self.geo.pages_per_block)] += elapsed
         return blk.lpas[off], blk.payloads[off], elapsed
 
-    def oob(self, ppa: int) -> OobRecord:
-        """OOB contents of a programmed page (no extra latency: the OOB is
-        transferred with the page read that fetched it)."""
-        bid = ppa // self.geo.pages_per_block
-        blk = self.blocks[bid]
-        off = ppa % self.geo.pages_per_block
-        window = []
-        for j in range(-self.gamma, self.gamma + 1):
-            o = off + j
-            window.append(blk.lpas[o] if 0 <= o < len(blk.lpas) else None)
-        return OobRecord(blk.lpas[off], tuple(window))
-
     def correct_misprediction(self, predicted_ppa: int, wanted_lpa: int) -> Optional[int]:
         """Locate wanted_lpa in the OOB window of predicted_ppa.
 
@@ -245,13 +221,6 @@ class FlashDevice:
                 return base + o
         return None
 
-    def validate_page(self, ppa: int) -> None:
-        blk = self.blocks[ppa // self.geo.pages_per_block]
-        off = ppa % self.geo.pages_per_block
-        if not blk.valid[off]:
-            blk.valid[off] = True
-            blk.valid_count += 1
-
     def invalidate_page(self, ppa: int) -> None:
         blk = self.blocks.get(ppa // self.geo.pages_per_block)
         if blk is None:
@@ -270,11 +239,8 @@ class FlashDevice:
         blk.valid = []
         blk.valid_count = 0
         blk.erase_count += 1
-        self.op_seq += 1
-        blk.erase_seq = self.op_seq
         self.flash_erases += 1
-        self._recycled[self.channel_of(block_id)].append(block_id)
-        self._free_count += 1
+        self.release_block(block_id)
         elapsed = self.lat.erase_us
         self.channel_busy_us[self.channel_of(block_id)] += elapsed
         return elapsed

@@ -56,7 +56,6 @@ class FtlBase:
         self._flushes = 0
         self._writes_since_compact = 0
         self._writes_since_snapshot = 0
-        self._in_gc = False
         self._update_cache_cap()
 
     # -- mapping hooks (subclass responsibility) ---------------------------
@@ -147,7 +146,7 @@ class FtlBase:
             if len(lpas) == n:
                 break
         entries = sorted((lpa, buf.pop(lpa)) for lpa in lpas)
-        self._program_batch(entries, is_gc=False)
+        self._program_batch(entries)
         self.data_writes += n
         self._writes_since_compact += n
         if self._writes_since_compact >= self.conf.compaction_interval:
@@ -167,23 +166,31 @@ class FtlBase:
         self._update_cache_cap()
         return entries
 
-    def _program_batch(self, entries, is_gc, known_old=None):
-        """Program sorted (lpa, payload) entries into a fresh block and
-        update mapping + validity."""
-        if not is_gc and not self._in_gc:
-            if self.dev.free_fraction() < self.conf.gc_low:
-                self.run_gc()
-        block = self.dev.allocate_block()
-        first_ppa, elapsed = self.dev.program_block(block, entries)
-        self.background_us += elapsed
+    def _program_batch(self, entries, dest=None):
+        """Program sorted (lpa, payload) entries into one block and update
+        mapping + validity.
+
+        A host flush passes no dest: it may run GC first, takes a fresh
+        block and invalidates each LPA's previous copy.  A relocation (GC,
+        wear leveling) programs into the dest block its caller chose; the
+        previous copies are in the block being emptied.
+        """
         dev = self.dev
-        if known_old is None:
+        relocation = dest is not None
+        if not relocation:
+            if dev.free_fraction() < self.conf.gc_low:
+                self.run_gc()
+            dest = dev.allocate_block()
+        first_ppa, elapsed = dev.program_block(dest, entries)
+        self.background_us += elapsed
+        if relocation:
+            self.gc_writes += len(entries)
+        else:
             for lpa, _ in entries:
                 old = self._true_ppa(lpa)
                 if old is not None:
                     dev.invalidate_page(old)
         self._map_insert(entries, first_ppa)
-        return first_ppa
 
     def _true_ppa(self, lpa):
         """Resolve the current physical page of lpa, paying for any flash
@@ -223,31 +230,27 @@ class FtlBase:
         if not force and dev.free_fraction() >= self.conf.gc_low:
             return
         self.gc_invocations += 1
-        self._in_gc = True
         pages = self.pages_per_block
         staging = []  # survivors packed across victims into full blocks
         packed = set()  # blocks written by this invocation; not victims
-        try:
-            while True:
-                victim = self._pick_victim(packed)
-                if victim is None:
-                    break
-                staging.extend(self._collect(victim))
-                while len(staging) >= pages:
-                    batch = sorted(staging[:pages])
-                    del staging[:pages]
-                    first = self._program_batch(batch, is_gc=True, known_old=True)
-                    packed.add(first // pages)
-                    self.gc_writes += pages
-                force = False
-                if dev.free_fraction() >= self.conf.gc_high:
-                    break
-            if staging:
-                staging.sort()
-                first = self._program_batch(staging, is_gc=True, known_old=True)
-                self.gc_writes += len(staging)
-        finally:
-            self._in_gc = False
+        while True:
+            victim = self._pick_victim(packed)
+            if victim is None:
+                break
+            staging.extend(self._live_pages(victim))
+            self.background_us += dev.erase_block(victim)
+            while len(staging) >= pages:
+                batch = sorted(staging[:pages])
+                del staging[:pages]
+                dest = dev.allocate_block()
+                self._program_batch(batch, dest)
+                packed.add(dest)
+            force = False
+            if dev.free_fraction() >= self.conf.gc_high:
+                break
+        if staging:
+            staging.sort()
+            self._program_batch(staging, dev.allocate_block())
         if self.conf.snapshot_on_gc:
             self.snapshot()
 
@@ -262,18 +265,16 @@ class FtlBase:
                     break
         return best[1] if best else None
 
-    def _collect(self, victim: int):
-        """Read a victim's live pages and erase it; caller repacks them."""
+    def _live_pages(self, block_id: int):
+        """Read a block's valid pages as (lpa, payload) entries."""
         dev = self.dev
-        blk = dev.blocks[victim]
+        base = block_id * self.pages_per_block
         entries = []
-        base = victim * self.pages_per_block
-        for off, ok in enumerate(blk.valid):
+        for off, ok in enumerate(dev.blocks[block_id].valid):
             if ok:
                 lpa, payload, elapsed = dev.read_page(base + off)
                 self.background_us += elapsed
                 entries.append((lpa, payload))
-        self.background_us += dev.erase_block(victim)
         return entries
 
     def wear_level(self):
@@ -292,30 +293,13 @@ class FtlBase:
         dest = dev.allocate_worn_block()
         if dev.blocks.get(dest) is None or dev.blocks[dest].erase_count <= cold_count:
             # nothing meaningfully hotter available; put it back
-            dev._recycled[dev.channel_of(dest)].append(dest)
-            dev._free_count += 1
+            dev.release_block(dest)
             return None
-        blk = dev.blocks[cold]
-        base = cold * self.pages_per_block
-        entries = []
-        for off, ok in enumerate(blk.valid):
-            if ok:
-                lpa, payload, elapsed = dev.read_page(base + off)
-                self.background_us += elapsed
-                entries.append((lpa, payload))
-        entries.sort()
-        self._in_gc = True
-        try:
-            if entries:
-                first_ppa, elapsed = dev.program_block(dest, entries)
-                self.background_us += elapsed
-                self._map_insert(entries, first_ppa)
-                self.gc_writes += len(entries)
-            else:
-                dev._recycled[dev.channel_of(dest)].append(dest)
-                dev._free_count += 1
-        finally:
-            self._in_gc = False
+        entries = sorted(self._live_pages(cold))
+        if entries:
+            self._program_batch(entries, dest)
+        else:
+            dev.release_block(dest)
         self.background_us += dev.erase_block(cold)
         self.wear_swaps += 1
         return cold, dest

@@ -22,12 +22,10 @@ GMD_ENTRY_BYTES = 8
 
 
 class _Snapshot:
-    __slots__ = ("seq", "blobs", "gmd", "validity")
+    __slots__ = ("blobs", "validity")
 
-    def __init__(self, seq, blobs, gmd, validity):
-        self.seq = seq
+    def __init__(self, blobs, validity):
         self.blobs = blobs  # gid -> serialized group (flash-resident copy)
-        self.gmd = gmd
         self.validity = validity  # block_id -> (program_seq, valid list copy)
 
 
@@ -104,10 +102,6 @@ class LeaFtl(FtlBase):
         self.translation_writes += 1
         self.background_us += self.dev.lat.write_us
 
-    def load_group(self, gid):
-        self._require_group(gid)
-        return self.table.groups.get(gid)
-
     def _mapping_budget(self) -> int:
         if self.conf.dram_policy == "capped":
             return int(self.conf.dram_bytes * 0.8)
@@ -136,7 +130,7 @@ class LeaFtl(FtlBase):
             bid: (blk.program_seq, blk.valid[:])
             for bid, blk in self.dev.programmed_blocks()
         }
-        self.snap = _Snapshot(self.dev.op_seq, blobs, dict(self.gmd), validity)
+        self.snap = _Snapshot(blobs, validity)
         pages = max(1, len(blobs))
         self.translation_writes += pages
         self.background_us += pages * self.dev.lat.write_us

@@ -7,11 +7,14 @@ gamma for every member; accurate segments predict exactly and their members
 form an arithmetic LPA progression so membership is decidable from the slope
 alone (stride = ceil(1/K)).
 
-The learner is a two-phase greedy: maximal stride runs (constant LPA step,
-PPA step exactly 1, at least RUN_MIN members) become accurate segments, and
-the leftover stretches are fitted with a streaming feasible-slope cone.  Run
-extraction does not depend on gamma, which keeps the output monotone: a wider
-gamma never yields more segments or more CRB bytes on the same input.
+The learner is a two-phase greedy over two primitives: _run_end finds the
+exact run (constant LPA stride, PPA step exactly 1) starting at a point, and
+_cone the feasible slopes of lines through a point.  Maximal runs of at least
+RUN_MIN members become accurate segments; a leftover stretch is cut into its
+exact runs at gamma 0, and into the byte-minimal mix of runs and cone pieces
+at gamma > 0.  Run extraction does not depend on gamma, which keeps the
+output monotone: a wider gamma never yields more segments or more CRB bytes
+on the same input.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 GROUP_SIZE = 256
 # Minimum members for the run-extraction phase.  Shorter runs are cheaper to
@@ -38,11 +41,6 @@ ABSORB_PENALTY = 3
 _PACK_H = struct.Struct("<H")
 _PACK_E = struct.Struct("<e")
 _PACK_F = struct.Struct("<f")
-
-
-class MappingPoint(NamedTuple):
-    lpa: int
-    ppa: int
 
 
 def _f32(value: float) -> float:
@@ -178,8 +176,52 @@ def _single_point(base: int, x: int, y: int) -> FittedSegment:
     return FittedSegment(base + x, 0, 0, 0.0, float(y), (base + x,))
 
 
-def _fit_run(base, pts, stride) -> Optional[FittedSegment]:
-    """Fit an accurate segment over an arithmetic run (PPA step exactly 1)."""
+def _run_end(pts, j) -> int:
+    """Last index of the exact run starting at j: constant LPA stride and a
+    PPA step of exactly 1."""
+    n = len(pts)
+    i = j
+    stride = None
+    while i + 1 < n:
+        x, y = pts[i]
+        nx, ny = pts[i + 1]
+        if ny - y != 1 or (stride is not None and nx - x != stride):
+            break
+        stride = nx - x
+        i += 1
+    return i
+
+
+def _cone(pts, j, stop, gamma, bounds) -> tuple:
+    """Grow the slope interval of lines through pts[j] that keep every later
+    point within gamma (and inside bounds), up to index stop or the first
+    point no such line reaches.  Returns (end, lo, hi): the last covered
+    index and the feasible slopes over pts[j..end]."""
+    x0, y0 = pts[j]
+    lo, hi = 0.0, 1.0
+    for i in range(j + 1, stop + 1):
+        x, y = pts[i]
+        ylo, yhi = y - gamma, y + gamma
+        if bounds is not None:
+            if ylo < bounds[0]:
+                ylo = bounds[0]
+            if yhi > bounds[1]:
+                yhi = bounds[1]
+        dx = x - x0
+        nlo = (ylo - y0) / dx
+        nhi = (yhi - y0) / dx
+        if nlo > hi or nhi < lo or nlo > nhi:
+            return i - 1, lo, hi
+        if nlo > lo:
+            lo = nlo
+        if nhi < hi:
+            hi = nhi
+    return stop, lo, hi
+
+
+def _fit_run(base, pts) -> Optional[FittedSegment]:
+    """Fit an accurate segment over an exact run (see _run_end)."""
+    stride = pts[1][0] - pts[0][0]
     bits = _accurate_slope_bits(stride)
     if bits is None:
         return None
@@ -200,7 +242,8 @@ def _fit_run(base, pts, stride) -> Optional[FittedSegment]:
     return seg
 
 
-def _fit_approximate(base, pts, gamma, lo, hi, bounds) -> Optional[FittedSegment]:
+def _fit_approximate(base, pts, gamma, bounds) -> Optional[FittedSegment]:
+    _, lo, hi = _cone(pts, 0, len(pts) - 1, gamma, bounds)
     x0, y0 = pts[0]
     k_mid = (lo + hi) / 2.0
     if k_mid <= 0.0:
@@ -231,48 +274,17 @@ def _fit_approximate(base, pts, gamma, lo, hi, bounds) -> Optional[FittedSegment
 def _learn_stretch(base, pts, gamma, bounds, out) -> None:
     """Fit one leftover stretch (group-relative points).
 
-    gamma=0 uses the streaming cone with the stride rule; gamma>0 picks the
+    gamma=0 emits each exact run as its own piece; gamma>0 picks the
     partition with the fewest encoded bytes (see _dp_stretch), which makes
     table size non-increasing as gamma widens.
     """
     if gamma > 0:
         _dp_stretch(base, pts, gamma, bounds, out)
         return
-    n = len(pts)
     start = 0
-    while start < n:
-        x0, y0 = pts[start]
-        lo, hi = 0.0, 1.0
-        end = start
-        stride = None
-        prev_x, prev_y = x0, y0
-        for i in range(start + 1, n):
-            x, y = pts[i]
-            ylo, yhi = y - gamma, y + gamma
-            if bounds is not None:
-                if ylo < bounds[0]:
-                    ylo = bounds[0]
-                if yhi > bounds[1]:
-                    yhi = bounds[1]
-            dx = x - x0
-            nlo = (ylo - y0) / dx
-            nhi = (yhi - y0) / dx
-            if nlo > lo:
-                lo = nlo
-            if nhi < hi:
-                hi = nhi
-            if lo > hi:
-                break
-            if gamma == 0:
-                # Exact mode only keeps arithmetic progressions so that the
-                # resulting segments stay accurate (stride-decidable).
-                step = x - prev_x
-                if y - prev_y != 1 or (stride is not None and step != stride):
-                    break
-                stride = step
-            prev_x, prev_y = x, y
-            end = i
-        _emit(base, pts[start : end + 1], gamma, lo, hi, bounds, out)
+    while start < len(pts):
+        end = _run_end(pts, start)
+        _emit(base, pts[start : end + 1], gamma, bounds, out)
         start = end + 1
 
 
@@ -293,19 +305,7 @@ def _dp_stretch(base, pts, gamma, bounds, out) -> None:
     the run structure, not on gamma, so it preserves the monotonicity above.
     """
     n = len(pts)
-    # run_ext[j]: furthest i such that pts[j..i] is an exact run.
-    run_ext = [j for j in range(n)]
-    for j in range(n):
-        i = j
-        stride = None
-        while i + 1 < n and pts[i + 1][1] - pts[i][1] == 1:
-            step = pts[i + 1][0] - pts[i][0]
-            if stride is None:
-                stride = step
-            elif step != stride:
-                break
-            i += 1
-        run_ext[j] = i
+    run_ext = [_run_end(pts, j) for j in range(n)]
     # cone_cap[j]: furthest index an approximate piece starting at j may
     # reach without fully containing a protected run (suffix minimum).
     cone_cap = [n - 1] * n
@@ -317,30 +317,7 @@ def _dp_stretch(base, pts, gamma, bounds, out) -> None:
                 cap = here
         cone_cap[j] = cap
     # cone_ext[j]: furthest i such that a gamma-feasible line covers pts[j..i].
-    cone_ext = [j] * n
-    for j in range(n):
-        x0, y0 = pts[j]
-        lo, hi = 0.0, 1.0
-        end = j
-        for i in range(j + 1, cone_cap[j] + 1):
-            x, y = pts[i]
-            ylo, yhi = y - gamma, y + gamma
-            if bounds is not None:
-                if ylo < bounds[0]:
-                    ylo = bounds[0]
-                if yhi > bounds[1]:
-                    yhi = bounds[1]
-            dx = x - x0
-            nlo = (ylo - y0) / dx
-            nhi = (yhi - y0) / dx
-            if nlo > lo:
-                lo = nlo
-            if nhi < hi:
-                hi = nhi
-            if lo > hi:
-                break
-            end = i
-        cone_ext[j] = end
+    cone_ext = [_cone(pts, j, cone_cap[j], gamma, bounds)[0] for j in range(n)]
     # dp[i] = (bytes, segments) for the best partition of pts[:i];
     # ties prefer fewer segments so wider gamma never returns more of them.
     inf = (1 << 60, 1 << 60)
@@ -351,14 +328,11 @@ def _dp_stretch(base, pts, gamma, bounds, out) -> None:
         bj, sj = dp[j]
         if bj >= inf[0]:
             continue
-        top = max(run_ext[j], cone_ext[j])
-        for i in range(j, top + 1):
+        for i in range(j, max(run_ext[j], cone_ext[j]) + 1):
             if i <= run_ext[j]:
                 cost = 8
-            elif i <= cone_ext[j]:
-                cost = 9 + (i - j + 1) + ABSORB_PENALTY
             else:
-                continue
+                cost = 9 + (i - j + 1) + ABSORB_PENALTY
             cand = (bj + cost, sj + 1)
             if cand < dp[i + 1]:
                 dp[i + 1] = cand
@@ -370,44 +344,19 @@ def _dp_stretch(base, pts, gamma, bounds, out) -> None:
         cuts.append((j, i))
         i = j
     for j, i in reversed(cuts):
-        piece = pts[j:i]
-        lo, hi = _piece_cone(piece, gamma, bounds) if len(piece) > 1 else (0.0, 1.0)
-        _emit(base, piece, gamma, lo, hi, bounds, out)
+        _emit(base, pts[j:i], gamma, bounds, out)
 
 
-def _piece_cone(pts, gamma, bounds):
-    """Feasible-slope interval for an approximate fit over pts."""
-    x0, y0 = pts[0]
-    lo, hi = 0.0, 1.0
-    for x, y in pts[1:]:
-        ylo, yhi = y - gamma, y + gamma
-        if bounds is not None:
-            if ylo < bounds[0]:
-                ylo = bounds[0]
-            if yhi > bounds[1]:
-                yhi = bounds[1]
-        dx = x - x0
-        nlo = (ylo - y0) / dx
-        nhi = (yhi - y0) / dx
-        if nlo > lo:
-            lo = nlo
-        if nhi < hi:
-            hi = nhi
-    return lo, hi
-
-
-def _emit(base, pts, gamma, lo, hi, bounds, out) -> None:
+def _emit(base, pts, gamma, bounds, out) -> None:
     if len(pts) == 1:
         out.append(_single_point(base, pts[0][0], pts[0][1]))
         return
-    strides = {pts[i + 1][0] - pts[i][0] for i in range(len(pts) - 1)}
-    steps = {pts[i + 1][1] - pts[i][1] for i in range(len(pts) - 1)}
-    if len(strides) == 1 and steps == {1}:
-        seg = _fit_run(base, pts, strides.pop())
+    if _run_end(pts, 0) == len(pts) - 1:
+        seg = _fit_run(base, pts)
         if seg is not None:
             out.append(seg)
             return
-    seg = _fit_approximate(base, pts, gamma, lo, hi, bounds)
+    seg = _fit_approximate(base, pts, gamma, bounds)
     if seg is not None:
         out.append(seg)
         return
@@ -422,24 +371,14 @@ def _learn_group(base, pts, gamma, bounds, out) -> None:
     pending_start = 0
     i = 0
     while i < n:
-        # Maximal run starting at i: constant LPA stride, PPA step exactly 1.
-        j = i
-        stride = None
-        while j + 1 < n and pts[j + 1][1] - pts[j][1] == 1:
-            step = pts[j + 1][0] - pts[j][0]
-            if stride is None:
-                stride = step
-            elif step != stride:
-                break
-            j += 1
+        j = _run_end(pts, i)
         if j - i + 1 >= RUN_MIN:
-            seg = _fit_run(base, pts[i : j + 1], stride)
+            seg = _fit_run(base, pts[i : j + 1])
             if seg is not None:
                 if pending_start < i:
                     _learn_stretch(base, pts[pending_start:i], gamma, bounds, out)
                 out.append(seg)
-                i = j + 1
-                pending_start = i
+                i = pending_start = j + 1
                 continue
         i += 1
     if pending_start < n:

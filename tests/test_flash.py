@@ -71,19 +71,6 @@ class TestReadWrite:
 
 
 class TestOob:
-    def test_window_centered_on_page(self):
-        dev = small_dev(gamma=2)
-        _, first, _ = program(dev, [10, 20, 30, 40, 50])
-        rec = dev.oob(first + 2)
-        assert rec.lpa == 30
-        assert rec.window == (10, 20, 30, 40, 50)
-
-    def test_window_nulls_outside_block(self):
-        dev = small_dev(gamma=2)
-        _, first, _ = program(dev, [10, 20, 30])
-        assert dev.oob(first).window == (None, None, 10, 20, 30)
-        assert dev.oob(first + 2).window == (10, 20, 30, None, None)
-
     def test_correct_misprediction_within_gamma(self):
         dev = small_dev(gamma=4)
         _, first, _ = program(dev, [10, 20, 30, 40, 50, 60])
@@ -109,8 +96,7 @@ class TestValidity:
         assert dev.blocks[block].valid_count == 3
         dev.invalidate_page(first)
         assert dev.blocks[block].valid_count == 2
-        dev.validate_page(first)
-        assert dev.blocks[block].valid_count == 3
+        assert dev.blocks[block].valid == [False, True, True]
 
     def test_erase_resets_block(self):
         dev = small_dev()
@@ -136,6 +122,13 @@ class TestAllocation:
         dev.erase_block(b0)
         order = [dev.allocate_block() for _ in range(4)]
         assert order[0] == b0  # recycled block reused first
+
+    def test_released_block_is_free_again(self):
+        dev = small_dev(channels=1, blocks=4)
+        b = dev.allocate_block()
+        dev.release_block(b)
+        assert dev.free_fraction() == 1.0
+        assert dev.allocate_block() == b  # recycled before never-used
 
     def test_capacity_exhaustion(self):
         dev = small_dev(channels=1, blocks=2)

@@ -191,7 +191,7 @@ class TestLeaFtlSpecifics:
         assert 0 not in ftl.table.groups
         tr = ftl.translation_reads
         bg = ftl.background_us
-        ftl.load_group(0)
+        ftl._require_group(0)
         assert ftl.translation_reads == tr + 1
         assert ftl.background_us == bg + ftl.dev.lat.read_us
         for lpa, want in before.items():

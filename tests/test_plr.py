@@ -162,6 +162,22 @@ def test_gamma_bound_randomized(gamma):
         check_segments(learn_segments(pts, gamma), pts, gamma)
 
 
+@pytest.mark.parametrize(
+    "run, follower",
+    [
+        ([(0, 1000), (33, 1001)], (34, 1002)),
+        ([(1, 798), (59, 799), (117, 800)], (225, 801)),
+        ([(16, 3450), (58, 3451), (100, 3452)], (154, 3455)),
+    ],
+)
+def test_gamma0_run_fit_ignores_following_point(run, follower):
+    # the point that breaks an exact run must not narrow the run's own fit
+    alone = learn_segments(run, 0)
+    followed = learn_segments(run + [follower], 0)
+    assert followed[: len(alone)] == alone
+    check_segments(followed, run + [follower], 0)
+
+
 def test_monotone_segment_count_in_gamma():
     rng = random.Random(77)
     for _ in range(300):
