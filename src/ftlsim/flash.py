@@ -200,6 +200,29 @@ class FlashDevice:
         self.channel_busy_us[self.channel_of(ppa // self.geo.pages_per_block)] += elapsed
         return blk.lpas[off], blk.payloads[off], elapsed
 
+    def read_valid(self, block_id: int, elapsed_us: float = 0.0) -> tuple:
+        """Read every valid page of a block, in page order.
+
+        Returns ((lpa, payload) entries, elapsed_us plus one read time per
+        page).  Each page is charged as read_page charges it, and the times
+        are added one page at a time, so every float total matches a
+        read_page loop over the same pages.
+        """
+        blk = self.blocks[block_id]
+        read_us = self.lat.read_us
+        entries = [
+            (lpa, payload)
+            for lpa, payload, ok in zip(blk.lpas, blk.payloads, blk.valid)
+            if ok
+        ]
+        busy = self.channel_busy_us
+        ch = self.channel_of(block_id)
+        for _ in entries:
+            busy[ch] += read_us
+            elapsed_us += read_us
+        self.flash_reads += len(entries)
+        return entries, elapsed_us
+
     def correct_misprediction(self, predicted_ppa: int, wanted_lpa: int) -> Optional[int]:
         """Locate wanted_lpa in the OOB window of predicted_ppa.
 

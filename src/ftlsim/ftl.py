@@ -74,6 +74,11 @@ class FtlBase:
     def _map_compact(self):
         pass
 
+    def compact_mapping(self):
+        """Consolidate the mapping table now, as the periodic compaction
+        does."""
+        self._map_compact()
+
     def _map_reset(self):
         raise NotImplementedError
 
@@ -267,14 +272,7 @@ class FtlBase:
 
     def _live_pages(self, block_id: int):
         """Read a block's valid pages as (lpa, payload) entries."""
-        dev = self.dev
-        base = block_id * self.pages_per_block
-        entries = []
-        for off, ok in enumerate(dev.blocks[block_id].valid):
-            if ok:
-                lpa, payload, elapsed = dev.read_page(base + off)
-                self.background_us += elapsed
-                entries.append((lpa, payload))
+        entries, self.background_us = self.dev.read_valid(block_id, self.background_us)
         return entries
 
     def wear_level(self):

@@ -96,41 +96,50 @@ def has_lpa(segment: Segment, offset: int) -> bool:
 
 def get_bitmap(segment: Segment, start: int, end: int) -> int:
     """Membership bitmap over [start, end]; bit i covers offset start+i."""
-    bm = 0
-    if segment.length < 0:
-        return bm
+    length = segment.length
+    if length < 0:
+        return 0
     if segment.run is not None:
+        bm = 0
         for off in segment.run:
             if start <= off <= end:
                 bm |= 1 << (off - start)
         return bm
-    step = 1 if segment.length == 0 else segment.stride
-    for off in range(segment.start, segment.end + 1, step):
-        if start <= off <= end:
-            bm |= 1 << (off - start)
-    return bm
+    # members start, start+step, ..., up to start+length: `count` bits spaced
+    # `step` apart, i.e. the repunit (2**(step*count) - 1) / (2**step - 1)
+    step = 1 if length == 0 else segment.stride
+    count = length // step + 1
+    bm = ((1 << (step * count)) - 1) // ((1 << step) - 1)
+    shift = segment.start - start
+    bm = bm << shift if shift >= 0 else bm >> -shift
+    return bm & ((1 << (end - start + 1)) - 1)
 
 
 def seg_merge(new: Segment, old: Segment, group: "GroupTable") -> None:
     """Mask new's members out of old; tighten or mark old removable.
 
     Slope and intercept of old are never touched, so predictions for its
-    surviving members are unchanged.
+    surviving members are unchanged.  Offsets that leave old's CRB run are
+    taken off group.crb.
     """
     lo = min(new.start, old.start)
     hi = max(new.end, old.end)
     bm_old = get_bitmap(old, lo, hi) & ~get_bitmap(new, lo, hi)
+    run = old.run
     if bm_old == 0:
-        if old.run is not None:
-            old.run.clear()
+        if run is not None:
+            group.crb -= len(run) + 1
+            run.clear()
         old.length = -1
         return
     first = (bm_old & -bm_old).bit_length() - 1
     last = bm_old.bit_length() - 1
     old.start = lo + first
     old.length = last - first
-    if old.run is not None:
-        old.run[:] = [o for o in old.run if (bm_old >> (o - lo)) & 1]
+    if run is not None:
+        kept = [o for o in run if (bm_old >> (o - lo)) & 1]
+        group.crb -= len(run) - len(kept)
+        run[:] = kept
 
 
 class _Level:
@@ -158,13 +167,21 @@ class _Level:
 
 
 class GroupTable:
-    """Mapping state of one 256-LPA group."""
+    """Mapping state of one 256-LPA group.
 
-    __slots__ = ("levels", "cached_bytes")
+    crb (the CRB byte count) is kept up to date by every update, so bytes()
+    does not walk the runs.  blob is the serialized form the group was last
+    loaded from or written to; every update drops it, so a group that was
+    only read since then is not serialized again.
+    """
+
+    __slots__ = ("levels", "cached_bytes", "crb", "blob")
 
     def __init__(self):
         self.levels = []
         self.cached_bytes = 0
+        self.crb = 0
+        self.blob = None
 
     # -- queries ----------------------------------------------------------
 
@@ -186,12 +203,8 @@ class GroupTable:
             return ppa, (seg.slope_bits & 1) == 0, li + 1
         return None
 
-    def segments(self):
-        for level in self.levels:
-            yield from level.segs
-
     def crb_runs(self):
-        runs = [s.run for s in self.segments() if s.run is not None]
+        runs = [s.run for level in self.levels for s in level.segs if s.run is not None]
         runs.sort(key=lambda r: r[0])
         return runs
 
@@ -199,30 +212,23 @@ class GroupTable:
         return sum(len(level.segs) for level in self.levels)
 
     def crb_bytes(self):
-        return sum(len(s.run) + 1 for s in self.segments() if s.run is not None)
+        return self.crb
 
     def bytes(self):
-        # single pass; this runs once per touched group on every flush
-        n = 0
-        crb = 0
-        for level in self.levels:
-            n += len(level.segs)
-            for s in level.segs:
-                if s.run is not None:
-                    crb += len(s.run) + 1
-        return SEGMENT_BYTES * n + crb + GROUP_OVERHEAD_BYTES
+        return SEGMENT_BYTES * self.segment_count() + self.crb + GROUP_OVERHEAD_BYTES
 
     # -- updates ----------------------------------------------------------
 
-    def seg_update(self, seg: Segment, level_idx: int = 0, fresh: bool = True):
-        """Insert seg, resolving conflicts within the target level.
+    def seg_update(self, seg: Segment, level_idx: int = 0):
+        """Insert a new segment, resolving conflicts within the target level.
 
-        fresh=True registers the segment's CRB run (deduplicating offsets
-        group-wide); demotions and compaction re-insert existing segments
-        with fresh=False since their runs are already registered.
+        The segment's CRB run, if any, is registered first: its offsets are
+        removed from every other run of the group.
         """
-        if fresh and seg.run is not None:
+        self.blob = None
+        if seg.run is not None:
             self._crb_dedup(seg)
+            self.crb += len(seg.run) + 1
         while len(self.levels) <= level_idx:
             self.levels.append(_Level())
         level = self.levels[level_idx]
@@ -269,8 +275,11 @@ class GroupTable:
                     continue
                 if not new_off.intersection(run):
                     continue
-                run[:] = [o for o in run if o not in new_off]
+                kept = [o for o in run if o not in new_off]
+                self.crb -= len(run) - len(kept)
+                run[:] = kept
                 if not run:
+                    self.crb -= 1
                     seg.length = -1
                     doomed.append(seg)
                 else:
@@ -289,6 +298,7 @@ class GroupTable:
         is only promoted past levels that have no overlap with its range.
         Memory never increases (no segment or level is ever added).
         """
+        self.blob = None
         # Top-down masking: every upper segment shadows all lower levels.
         for i, upper in enumerate(self.levels):
             for seg in upper.segs:
@@ -402,6 +412,10 @@ class MappingTable:
 
 
 def serialize_group(group: GroupTable) -> bytes:
+    """The group's serialized form; reuses group.blob when the group has not
+    changed since it was last loaded or serialized."""
+    if group.blob is not None:
+        return group.blob
     out = bytearray(struct.pack("<H", len(group.levels)))
     for level in group.levels:
         out += struct.pack("<H", len(level.segs))
@@ -413,26 +427,30 @@ def serialize_group(group: GroupTable) -> bytes:
         crb += bytes(run)
     out += struct.pack("<H", len(crb))
     out += crb
-    return bytes(out)
+    group.blob = bytes(out)
+    return group.blob
 
 
 def deserialize_group(blob: bytes) -> GroupTable:
     group = GroupTable()
+    view = memoryview(blob)
     (nlevels,) = struct.unpack_from("<H", blob, 0)
     pos = 2
     approx = {}
     for _ in range(nlevels):
         (count,) = struct.unpack_from("<H", blob, pos)
         pos += 2
+        end = pos + count * _SEG_STRUCT.size
         level = _Level()
-        for _ in range(count):
-            start, length, bits, intercept = _SEG_STRUCT.unpack_from(blob, pos)
-            pos += _SEG_STRUCT.size
+        starts = level.starts
+        segs = level.segs
+        for start, length, bits, intercept in _SEG_STRUCT.iter_unpack(view[pos:end]):
             seg = Segment(start, length, bits, decode_slope(bits), intercept)
-            level.starts.append(start)
-            level.segs.append(seg)
+            starts.append(start)
+            segs.append(seg)
             if bits & 1:
                 approx[start] = seg
+        pos = end
         group.levels.append(level)
     (crb_len,) = struct.unpack_from("<H", blob, pos)
     pos += 2
@@ -443,5 +461,7 @@ def deserialize_group(blob: bytes) -> GroupTable:
         run = list(blob[pos : pos + n])
         pos += n
         approx[run[0]].run = run
+    group.crb = crb_len
+    group.blob = blob
     group.cached_bytes = group.bytes()
     return group

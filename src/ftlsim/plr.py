@@ -7,12 +7,12 @@ gamma for every member; accurate segments predict exactly and their members
 form an arithmetic LPA progression so membership is decidable from the slope
 alone (stride = ceil(1/K)).
 
-The learner is a two-phase greedy over two primitives: _run_end finds the
-exact run (constant LPA stride, PPA step exactly 1) starting at a point, and
-_cone the feasible slopes of lines through a point.  Maximal runs of at least
-RUN_MIN members become accurate segments; a leftover stretch is cut into its
-exact runs at gamma 0, and into the byte-minimal mix of runs and cone pieces
-at gamma > 0.  Run extraction does not depend on gamma, which keeps the
+The learner is a two-phase greedy over two primitives: _run_ends finds
+where the exact run (constant LPA stride, PPA step exactly 1) starting at
+each point ends, and _cone the feasible slopes of lines through a point.
+Maximal runs of at least RUN_MIN members become accurate segments; a
+leftover stretch is cut into its exact runs at gamma 0, and into the
+byte-minimal mix of runs and cone pieces at gamma > 0.  Run extraction does not depend on gamma, which keeps the
 output monotone: a wider gamma never yields more segments or more CRB bytes
 on the same input.
 """
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache
+from typing import NamedTuple, Optional, Sequence
 
 GROUP_SIZE = 256
 # Minimum members for the run-extraction phase.  Shorter runs are cheaper to
@@ -48,6 +48,7 @@ def _f32(value: float) -> float:
     return _PACK_F.unpack(_PACK_F.pack(value))[0]
 
 
+@cache
 def decode_slope(bits: int) -> float:
     return float(_PACK_E.unpack(_PACK_H.pack(bits))[0])
 
@@ -76,8 +77,7 @@ def quantize_slope(slope: float, accurate: bool = True) -> int:
     return best[1]
 
 
-@dataclass(frozen=True)
-class FittedSegment:
+class FittedSegment(NamedTuple):
     """One learned segment, still carrying its member LPAs.
 
     start_lpa is absolute; length is last_member - start_lpa (0 for a
@@ -107,6 +107,19 @@ class FittedSegment:
         return math.ceil(self.slope * x + self.intercept)
 
 
+def _fits(k, intercept, pts, gamma, bounds) -> bool:
+    """Every prediction ceil(k*x + intercept) of group-relative points is
+    within gamma of its PPA (exact at gamma 0) and inside bounds, if given."""
+    ceil = math.ceil
+    for x, y in pts:
+        pred = ceil(k * x + intercept)
+        if pred - y > gamma or y - pred > gamma:
+            return False
+        if bounds is not None and not bounds[0] <= pred <= bounds[1]:
+            return False
+    return True
+
+
 def requantize_check(
     segment: FittedSegment,
     points: Sequence,
@@ -120,21 +133,14 @@ def requantize_check(
     Approximate segments must keep every member within gamma.  When bounds
     (min_ppa, max_ppa) are given, every prediction must also land inside.
     """
-    k = segment.slope
-    intercept = segment.intercept
     base = segment.start_lpa - segment.start_lpa % GROUP_SIZE
-    for lpa, ppa in points:
-        pred = math.ceil(k * (lpa - base) + intercept)
-        if segment.accurate:
-            if pred != ppa:
-                return False
-        elif abs(pred - ppa) > gamma:
-            return False
-        if bounds is not None and not bounds[0] <= pred <= bounds[1]:
-            return False
+    rel = [(lpa - base, ppa) for lpa, ppa in points]
+    tolerance = 0 if segment.accurate else gamma
+    if not _fits(segment.slope, segment.intercept, rel, tolerance, bounds):
+        return False
     if segment.accurate and segment.length > 0:
         stride = segment.members[1] - segment.members[0]
-        if math.ceil(1.0 / k) != stride:
+        if math.ceil(1.0 / segment.slope) != stride:
             return False
         if segment.length % stride != 0:
             return False
@@ -151,9 +157,8 @@ def _accurate_slope_bits(stride: int) -> Optional[int]:
     prediction drift over a group below 1 page; returns None when binary16
     cannot represent such a slope.
     """
-    bits = _ACC_SLOPE_CACHE.get(stride)
     if stride in _ACC_SLOPE_CACHE:
-        return bits
+        return _ACC_SLOPE_CACHE[stride]
     target = 1.0 / stride
     base = _PACK_H.unpack(_PACK_E.pack(target))[0] & ~1
     best = None
@@ -167,7 +172,10 @@ def _accurate_slope_bits(stride: int) -> Optional[int]:
             continue
         if best is None or k < best[1]:
             best = (cand, k)
-    result = best[0] if best else None
+    result = None
+    # the segment's stride is recomputed as ceil(1/k) in binary64
+    if best is not None and math.ceil(1.0 / best[1]) == stride:
+        result = best[0]
     _ACC_SLOPE_CACHE[stride] = result
     return result
 
@@ -176,20 +184,27 @@ def _single_point(base: int, x: int, y: int) -> FittedSegment:
     return FittedSegment(base + x, 0, 0, 0.0, float(y), (base + x,))
 
 
-def _run_end(pts, j) -> int:
-    """Last index of the exact run starting at j: constant LPA stride and a
-    PPA step of exactly 1."""
+def _run_ends(pts) -> list:
+    """ends[j]: last index of the exact run starting at pts[j], i.e. constant
+    LPA stride and a PPA step of exactly 1 (one backward pass)."""
     n = len(pts)
-    i = j
-    stride = None
-    while i + 1 < n:
-        x, y = pts[i]
-        nx, ny = pts[i + 1]
-        if ny - y != 1 or (stride is not None and nx - x != stride):
-            break
-        stride = nx - x
-        i += 1
-    return i
+    ends = [n - 1] * n
+    nx, ny = pts[-1]
+    next_step = None  # LPA stride of the step out of the next point, if exact
+    for j in range(n - 2, -1, -1):
+        x, y = pts[j]
+        if ny - y != 1:
+            ends[j] = j
+            next_step = None
+        else:
+            step = nx - x
+            if step != next_step:
+                ends[j] = j + 1
+            else:
+                ends[j] = ends[j + 1]
+            next_step = step
+        nx, ny = x, y
+    return ends
 
 
 def _cone(pts, j, stop, gamma, bounds) -> tuple:
@@ -220,7 +235,7 @@ def _cone(pts, j, stop, gamma, bounds) -> tuple:
 
 
 def _fit_run(base, pts) -> Optional[FittedSegment]:
-    """Fit an accurate segment over an exact run (see _run_end)."""
+    """Fit an accurate segment over an exact run (see _run_ends)."""
     stride = pts[1][0] - pts[0][0]
     bits = _accurate_slope_bits(stride)
     if bits is None:
@@ -234,12 +249,11 @@ def _fit_run(base, pts) -> Optional[FittedSegment]:
     if drift >= 0.9:
         return None
     intercept = _f32(y0 - k * x0 - drift)
-    seg = FittedSegment(
-        base + x0, span, bits, k, intercept, tuple(base + x for x, _ in pts)
-    )
-    if not requantize_check(seg, [(base + x, y) for x, y in pts], 0):
+    if not _fits(k, intercept, pts, 0, None):
         return None
-    return seg
+    return FittedSegment(
+        base + x0, span, bits, k, intercept, tuple([base + x for x, _ in pts])
+    )
 
 
 def _fit_approximate(base, pts, gamma, bounds) -> Optional[FittedSegment]:
@@ -258,17 +272,16 @@ def _fit_approximate(base, pts, gamma, bounds) -> Optional[FittedSegment]:
     # The cone corridor is centred half a page below each PPA so that the
     # ceil in predict() lands on the PPA itself rather than one past it.
     intercept = _f32(y0 - 0.5 - k * x0)
-    seg = FittedSegment(
+    if not _fits(k, intercept, pts, gamma, bounds):
+        return None
+    return FittedSegment(
         base + x0,
         pts[-1][0] - x0,
         bits,
         k,
         intercept,
-        tuple(base + x for x, _ in pts),
+        tuple([base + x for x, _ in pts]),
     )
-    if not requantize_check(seg, [(base + x, y) for x, y in pts], gamma, bounds):
-        return None
-    return seg
 
 
 def _learn_stretch(base, pts, gamma, bounds, out) -> None:
@@ -281,10 +294,11 @@ def _learn_stretch(base, pts, gamma, bounds, out) -> None:
     if gamma > 0:
         _dp_stretch(base, pts, gamma, bounds, out)
         return
+    ends = _run_ends(pts)
     start = 0
     while start < len(pts):
-        end = _run_end(pts, start)
-        _emit(base, pts[start : end + 1], gamma, bounds, out)
+        end = ends[start]
+        _emit(base, pts[start : end + 1], True, gamma, bounds, out)
         start = end + 1
 
 
@@ -305,7 +319,7 @@ def _dp_stretch(base, pts, gamma, bounds, out) -> None:
     the run structure, not on gamma, so it preserves the monotonicity above.
     """
     n = len(pts)
-    run_ext = [_run_end(pts, j) for j in range(n)]
+    run_ext = _run_ends(pts)
     # cone_cap[j]: furthest index an approximate piece starting at j may
     # reach without fully containing a protected run (suffix minimum).
     cone_cap = [n - 1] * n
@@ -344,14 +358,15 @@ def _dp_stretch(base, pts, gamma, bounds, out) -> None:
         cuts.append((j, i))
         i = j
     for j, i in reversed(cuts):
-        _emit(base, pts[j:i], gamma, bounds, out)
+        _emit(base, pts[j:i], i - 1 <= run_ext[j], gamma, bounds, out)
 
 
-def _emit(base, pts, gamma, bounds, out) -> None:
+def _emit(base, pts, exact, gamma, bounds, out) -> None:
+    """Fit one piece; exact says it is an exact run (see _run_ends)."""
     if len(pts) == 1:
         out.append(_single_point(base, pts[0][0], pts[0][1]))
         return
-    if _run_end(pts, 0) == len(pts) - 1:
+    if exact:
         seg = _fit_run(base, pts)
         if seg is not None:
             out.append(seg)
@@ -368,10 +383,14 @@ def _emit(base, pts, gamma, bounds, out) -> None:
 
 def _learn_group(base, pts, gamma, bounds, out) -> None:
     n = len(pts)
+    if n == 1:
+        out.append(_single_point(base, pts[0][0], pts[0][1]))
+        return
+    ends = _run_ends(pts)
     pending_start = 0
     i = 0
     while i < n:
-        j = _run_end(pts, i)
+        j = ends[i]
         if j - i + 1 >= RUN_MIN:
             seg = _fit_run(base, pts[i : j + 1])
             if seg is not None:

@@ -104,7 +104,7 @@ def run(
     # reflects the steady-state table, not garbage pending the next
     # periodic compaction.  The oracle scan below runs after it, so the
     # consolidated table is also verified for correctness.
-    ftl._map_compact()
+    ftl.compact_mapping()
     if oracle:
         for lpa, want in latest.items():
             got, _ = ftl.read(lpa)

@@ -198,7 +198,7 @@ def test_criterion_06_random_worst_case():
             ftl.write(lpa, 0)
             live[lpa] = 0
         ftl.flush_block(force=True)
-        ftl._map_compact()
+        ftl.compact_mapping()
         fp = ftl.table.memory_footprint()
         entry_bytes = 8 * len(live)
         assert fp["segment_bytes"] <= entry_bytes

@@ -162,3 +162,41 @@ class TestChannelAccounting:
         dev.program_block(b, [(1, 1), (2, 2)])
         ch = dev.channel_of(b)
         assert dev.channel_busy_us[ch] == 2 * dev.lat.write_us
+
+
+class TestReadValid:
+    def test_matches_read_page_loop(self):
+        # 25.3 is not a binary fraction, so every float total depends on
+        # the order in which the page reads are added
+        def dev_with_holes():
+            geo = Geometry(2, 4, 8, 4096, 256)
+            dev = FlashDevice(geo, Latencies(read_us=25.3), 4)
+            dev.channel_busy_us = [0.7, 0.7]
+            block, first, _ = program(dev, [3, 5, 8, 13, 21, 34, 55, 89])
+            for off in (0, 2, 3, 6):
+                dev.invalidate_page(first + off)
+            return dev, block
+
+        dev, block = dev_with_holes()
+        entries, elapsed = dev.read_valid(block, 0.1)
+        ref, ref_block = dev_with_holes()
+        ref_entries = []
+        ref_elapsed = 0.1
+        base = ref_block * ref.geo.pages_per_block
+        for off, ok in enumerate(ref.blocks[ref_block].valid):
+            if ok:
+                lpa, payload, el = ref.read_page(base + off)
+                ref_entries.append((lpa, payload))
+                ref_elapsed += el
+        assert entries == ref_entries == [(5, 1), (21, 4), (34, 5), (89, 7)]
+        assert elapsed == ref_elapsed
+        assert dev.flash_reads == ref.flash_reads == 4
+        assert dev.channel_busy_us == ref.channel_busy_us
+
+    def test_block_without_valid_pages(self):
+        dev = small_dev()
+        block, first, _ = program(dev, [1, 2])
+        dev.invalidate_page(first)
+        dev.invalidate_page(first + 1)
+        assert dev.read_valid(block) == ([], 0.0)
+        assert dev.flash_reads == 0

@@ -4,6 +4,9 @@ memory accounting."""
 
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from ftlsim.mapping import (
     GROUP_SIZE,
     GROUP_OVERHEAD_BYTES,
@@ -17,7 +20,7 @@ from ftlsim.mapping import (
     seg_merge,
     serialize_group,
 )
-from ftlsim.plr import learn_segments, quantize_slope
+from ftlsim.plr import decode_slope, learn_segments, quantize_slope
 
 
 def fitted(points, gamma=0, level=None):
@@ -256,3 +259,91 @@ class TestSerialization:
         expected = 2 + sum(2 + SEGMENT_BYTES * len(l.segs) for l in g.levels)
         expected += 2 + g.crb_bytes()
         assert len(blob) == expected
+
+
+@st.composite
+def segments(draw):
+    """A resident segment: accurate (strided, or a single point) or
+    approximate (with its CRB run), possibly already masked away."""
+    start = draw(st.integers(0, GROUP_SIZE - 1))
+    if draw(st.booleans()):
+        bits = quantize_slope(1.0 / draw(st.integers(1, 40)), True)
+        seg = Segment(start, 0, bits, decode_slope(bits), 0.0)
+        room = (GROUP_SIZE - 1 - start) // seg.stride
+        seg.length = seg.stride * draw(st.integers(0, room))
+    else:
+        offsets = st.integers(start, GROUP_SIZE - 1)
+        run = sorted({start} | draw(st.sets(offsets, max_size=40)))
+        bits = quantize_slope(0.3, False)
+        seg = Segment(start, run[-1] - start, bits, decode_slope(bits), 0.0, run)
+    if draw(st.integers(0, 9)) == 0:
+        seg.length = -1
+    return seg
+
+
+@settings(max_examples=400, deadline=None)
+@given(segments(), st.integers(0, GROUP_SIZE - 1), st.integers(0, GROUP_SIZE - 1))
+@example(Segment(10, 12, quantize_slope(0.25, True), 0.25, 0.0), 13, 18)
+@example(Segment(10, 12, quantize_slope(0.25, True), 0.25, 0.0), 0, 5)
+@example(Segment(10, 0, 0, 0.0, 0.0), 10, 10)
+def test_get_bitmap_matches_per_offset_loop(seg, a, b):
+    start, end = min(a, b), max(a, b)
+    want = 0
+    for off in range(start, end + 1):
+        if seg.length >= 0 and has_lpa(seg, off):
+            want |= 1 << (off - start)
+    assert get_bitmap(seg, start, end) == want
+
+
+def check_group_invariants(group):
+    segs = [s for level in group.levels for s in level.segs]
+    runs = [s.run for s in segs if s.run is not None]
+    assert group.crb == sum(len(run) + 1 for run in runs)
+    assert group.cached_bytes == group.bytes()
+    blob = serialize_group(group)
+    group.blob = None
+    assert blob == serialize_group(group)
+
+
+table_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "seg_update", "compact", "reload"]),
+        st.sets(st.integers(0, 2 * GROUP_SIZE - 1), min_size=1, max_size=48),
+        st.sampled_from([0, 1, 4, 16]),
+        st.integers(0, 1),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_ops)
+def test_group_counters_and_blobs_stay_current(ops):
+    """After every update the incremental CRB count equals a full walk, the
+    table's byte count is current, and a group's kept blob is the one a
+    fresh serialization gives."""
+    t = MappingTable()
+    ppa = 1000
+    for op, lpas, gamma, level in ops:
+        pts = [(lpa, ppa + i) for i, lpa in enumerate(sorted(lpas))]
+        ppa += len(pts) + 3
+        if op == "insert":
+            t.insert_fitted(learn_segments(pts, gamma))
+        elif op == "seg_update":
+            for fs in learn_segments(pts, gamma):
+                gid = fs.start_lpa // GROUP_SIZE
+                t.group(gid).seg_update(Segment.from_fitted(fs), level)
+                t._touch(gid, t.groups[gid])
+        elif op == "compact":
+            t.compact()
+        else:
+            for gid in list(t.groups):
+                group = t.drop_group(gid)
+                reloaded = deserialize_group(serialize_group(group))
+                t.groups[gid] = reloaded
+                t.total_bytes += reloaded.cached_bytes
+        for group in t.groups.values():
+            # every group carries a blob into the next update
+            check_group_invariants(group)
+        assert t.total_bytes == sum(g.bytes() for g in t.groups.values())

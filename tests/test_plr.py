@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ftlsim.plr import (
     GROUP_SIZE,
     FittedSegment,
+    _run_ends,
     decode_slope,
     learn_segments,
     quantize_slope,
@@ -208,3 +209,45 @@ def test_bounds_clamp_predictions():
 def test_gamma_bound_property(lpas, gamma, ppa0):
     pts = [(lpa, ppa0 + i) for i, lpa in enumerate(sorted(lpas))]
     check_segments(learn_segments(pts, gamma), pts, gamma)
+
+
+def run_end_brute(pts, j):
+    """Last index of the exact run at j, scanned forward from j."""
+    end = j
+    stride = None
+    while end + 1 < len(pts):
+        (x, y), (nx, ny) = pts[end], pts[end + 1]
+        if ny - y != 1 or stride not in (None, nx - x):
+            break
+        stride = nx - x
+        end += 1
+    return end
+
+
+@st.composite
+def lpa_ppa_batches(draw):
+    kind = draw(st.sampled_from(["random", "sequential", "strided"]))
+    if kind == "random":
+        lpas = sorted(draw(st.sets(st.integers(0, 1023), min_size=1, max_size=64)))
+    else:
+        step = 1 if kind == "sequential" else draw(st.integers(2, 9))
+        start = draw(st.integers(0, 1023))
+        lpas = [start + i * step for i in range(draw(st.integers(1, 64)))]
+    # mostly unit PPA steps, so exact runs form and break at the jumps
+    steps = draw(
+        st.lists(
+            st.sampled_from([1, 1, 1, 2, 5]), min_size=len(lpas), max_size=len(lpas)
+        )
+    )
+    pts = []
+    ppa = draw(st.integers(0, 1 << 20))
+    for lpa, step in zip(lpas, steps):
+        pts.append((lpa, ppa))
+        ppa += step
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(lpa_ppa_batches())
+def test_run_ends_match_forward_scan(pts):
+    assert _run_ends(pts) == [run_end_brute(pts, j) for j in range(len(pts))]
