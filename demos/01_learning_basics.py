@@ -5,20 +5,24 @@ consecutive inside the flash block.  The learner returns 8-byte segments;
 `gamma` is the allowed prediction error for approximate segments.
 """
 
-from ftlsim.plr import learn_segments
+from ftlsim.plr import GROUP_SIZE, learn_segments
 
 
 def show(title, pts, gamma):
     segs = learn_segments(pts, gamma)
     print(f"\n{title}  (gamma={gamma})")
     print(f"  {len(pts)} pages -> {len(segs)} segment(s)")
-    for s in segs:
+    for gid, s in segs:
+        # segments are group-relative: an accurate one's members are every
+        # stride-th offset, an approximate one lists them in its CRB run
         kind = "accurate " if s.accurate else "approx.  "
+        offsets = s.run or range(s.start, s.end + 1, s.stride)
+        base = gid * GROUP_SIZE
         print(
-            f"  {kind} start={s.start_lpa:<6} len={s.length:<4} "
-            f"slope={s.slope:.4f}  members={len(s.members)}"
+            f"  {kind} start={base + s.start:<6} len={s.length:<4} "
+            f"slope={s.slope:.4f}  members={len(offsets)}"
         )
-        worst = max(abs(s.predict(lpa) - dict(pts)[lpa]) for lpa in s.members)
+        worst = max(abs(s.predict(o) - dict(pts)[base + o]) for o in offsets)
         print(f"            worst prediction error: {worst} page(s)")
 
 
@@ -43,5 +47,5 @@ batch = [(lpa, 9000 + i) for i, lpa in enumerate(lpas)]
 print("\nrandom batch, gamma sweep:")
 for gamma in (0, 1, 4, 8, 16):
     segs = learn_segments(batch, gamma)
-    approx = sum(1 for s in segs if not s.accurate)
+    approx = sum(1 for _, s in segs if not s.accurate)
     print(f"  gamma={gamma:<3} segments={len(segs):<3} (approximate: {approx})")

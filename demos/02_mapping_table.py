@@ -14,7 +14,7 @@ def insert(table, pts, gamma):
     table.insert_fitted(learn_segments(pts, gamma))
 
 
-table = MappingTable(gamma=4)
+table = MappingTable()
 
 # Two overlapping generations of writes to group 0.
 insert(table, [(75, 500), (78, 501), (80, 502), (82, 503)], gamma=4)

@@ -135,13 +135,13 @@ def cmd_learn_stats(args):
         pts = [(l, ppa + i) for i, l in enumerate(sorted(batch))]
         batch.clear()
         ppa += per_block
-        for seg in learn_segments(pts, conf.gamma):
+        for _, seg in learn_segments(pts, conf.gamma):
             seg_lengths[seg.length] = seg_lengths.get(seg.length, 0) + 1
             if seg.accurate:
                 accurate += 1
             else:
                 approximate += 1
-                size = len(seg.members)
+                size = len(seg.run)
                 crb_sizes[size] = crb_sizes.get(size, 0) + 1
     total = accurate + approximate
     _emit(

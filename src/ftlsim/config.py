@@ -38,7 +38,6 @@ class Config:
     gamma: int = 0
     op_ratio: float = 0.20  # overprovisioning fraction of physical capacity
     dram_bytes: int = 1024**3
-    dram_policy: str = "mapping-first"  # or "capped" (mapping <= 80% of DRAM)
     buffer_bytes: int = 8 * 1024**2
     # policies
     compaction_interval: int = 1_000_000  # host writes between compactions
@@ -94,8 +93,6 @@ class Config:
             raise ConfigError("buffer_bytes smaller than one flash block")
         if not 0.0 < self.gc_low < self.gc_high <= 1.0:
             raise ConfigError("need 0 < gc_low < gc_high <= 1")
-        if self.dram_policy not in ("mapping-first", "capped"):
-            raise ConfigError(f"unknown dram_policy {self.dram_policy!r}")
         if min(self.read_us, self.write_us, self.erase_us) < 0:
             raise ConfigError("latencies must be >= 0")
         return self
@@ -116,10 +113,8 @@ def _coerce(raw: dict) -> dict:
             out[key] = int(value)
         elif key in Config._FLOAT_FIELDS:
             out[key] = float(value)
-        elif key in Config._BOOL_FIELDS:
+        else:  # _BOOL_FIELDS
             out[key] = str(value).strip().lower() in ("1", "true", "yes", "on")
-        else:
-            out[key] = str(value)
     return out
 
 

@@ -15,6 +15,7 @@ convenience but is logically FTL DRAM state: recovery code rebuilds it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,8 +90,7 @@ class FlashDevice:
         self.gamma = gamma
         self.blocks: dict = {}
         self._fresh = [0] * geometry.channels  # next never-used block per channel
-        self._recycled = [[] for _ in range(geometry.channels)]
-        self._recycled_head = [0] * geometry.channels
+        self._recycled = [deque() for _ in range(geometry.channels)]  # FIFO
         self._rr = 0  # round-robin channel cursor
         self._free_count = geometry.total_blocks
         self.op_seq = 0  # global program sequence for recovery ordering
@@ -106,15 +106,8 @@ class FlashDevice:
 
     def _pop_free(self, channel: int) -> Optional[int]:
         rec = self._recycled[channel]
-        head = self._recycled_head[channel]
-        if head < len(rec):
-            bid = rec[head]
-            head += 1
-            if head > 4096:  # keep the FIFO from growing without bound
-                del rec[:head]
-                head = 0
-            self._recycled_head[channel] = head
-            return bid
+        if rec:
+            return rec.popleft()
         if self._fresh[channel] < self.geo.blocks_per_channel:
             bid = channel * self.geo.blocks_per_channel + self._fresh[channel]
             self._fresh[channel] += 1
@@ -142,16 +135,14 @@ class FlashDevice:
         """Free block with the highest erase count (wear-leveling target)."""
         best = None
         for ch in range(self.geo.channels):
-            rec = self._recycled[ch]
-            for i in range(self._recycled_head[ch], len(rec)):
-                bid = rec[i]
+            for i, bid in enumerate(self._recycled[ch]):
                 count = self.blocks[bid].erase_count
                 if best is None or count > best[0]:
                     best = (count, ch, i, bid)
         if best is None:
             return self.allocate_block()
         _, ch, i, bid = best
-        self._recycled[ch].pop(i)
+        del self._recycled[ch][i]
         self._free_count -= 1
         return bid
 

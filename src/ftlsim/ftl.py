@@ -250,7 +250,6 @@ class FtlBase:
                 dest = dev.allocate_block()
                 self._program_batch(batch, dest)
                 packed.add(dest)
-            force = False
             if dev.free_fraction() >= self.conf.gc_high:
                 break
         if staging:

@@ -33,7 +33,7 @@ class LeaFtl(FtlBase):
     name = "leaftl"
 
     def __init__(self, conf, device):
-        self.table = MappingTable(conf.gamma)
+        self.table = MappingTable()
         self.gmd: dict = {}  # gid -> serialized group, for evicted groups
         self._lru: dict = {}  # resident gid -> True, LRU by reinsertion
         self.snap = None
@@ -74,7 +74,7 @@ class LeaFtl(FtlBase):
         self.table.compact()
 
     def _map_reset(self):
-        self.table = MappingTable(self.gamma)
+        self.table = MappingTable()
         self.gmd = {}
         self._lru = {}
 
@@ -102,13 +102,8 @@ class LeaFtl(FtlBase):
         self.translation_writes += 1
         self.background_us += self.dev.lat.write_us
 
-    def _mapping_budget(self) -> int:
-        if self.conf.dram_policy == "capped":
-            return int(self.conf.dram_bytes * 0.8)
-        return self.conf.dram_bytes
-
     def _enforce_dram(self):
-        budget = self._mapping_budget()
+        budget = self.conf.dram_bytes
         if self.table.total_bytes <= budget:
             return
         for gid in list(self._lru):
@@ -142,7 +137,7 @@ class LeaFtl(FtlBase):
         if snap is None:
             super().recover()
             return
-        table = MappingTable(self.gamma)
+        table = MappingTable()
         for gid, blob in snap.blobs.items():
             group = deserialize_group(blob)
             table.groups[gid] = group

@@ -25,62 +25,15 @@ from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_right, insort
-from typing import Iterable, Optional
+from bisect import bisect_right
+from typing import Iterable
 
-from .plr import GROUP_SIZE, FittedSegment, decode_slope
+from .plr import GROUP_SIZE, Segment, decode_slope
 
 SEGMENT_BYTES = 8
 GROUP_OVERHEAD_BYTES = 16
 
 _SEG_STRUCT = struct.Struct("<BBHf")
-
-
-class Segment:
-    """Resident form of one learned segment (group-relative offsets).
-
-    length is tightened as newer segments mask members away; -1 marks a
-    segment whose members are all masked (removable).  Approximate segments
-    hold a reference to their CRB run; ``run[0] == start`` always.
-    """
-
-    __slots__ = ("start", "length", "slope_bits", "slope", "intercept", "run")
-
-    def __init__(self, start, length, slope_bits, slope, intercept, run=None):
-        self.start = start
-        self.length = length
-        self.slope_bits = slope_bits
-        self.slope = slope
-        self.intercept = intercept
-        self.run = run
-
-    @property
-    def accurate(self):
-        return (self.slope_bits & 1) == 0
-
-    @property
-    def end(self):
-        return self.start + (self.length if self.length > 0 else 0)
-
-    @property
-    def stride(self):
-        return 1 if self.length <= 0 else math.ceil(1.0 / self.slope)
-
-    def predict(self, offset):
-        return math.ceil(self.slope * offset + self.intercept)
-
-    @classmethod
-    def from_fitted(cls, fs: FittedSegment) -> "Segment":
-        start = fs.start_lpa % GROUP_SIZE
-        run = None
-        if not fs.accurate:
-            base = fs.start_lpa - start
-            run = [lpa - base for lpa in fs.members]
-        return cls(start, fs.length, fs.slope_bits, fs.slope, fs.intercept, run)
-
-    def __repr__(self):
-        kind = "acc" if self.accurate else "apx"
-        return f"<Segment {kind} [{self.start},{self.start + self.length}] k={self.slope:.4f}>"
 
 
 def has_lpa(segment: Segment, offset: int) -> bool:
@@ -339,8 +292,7 @@ class GroupTable:
 class MappingTable:
     """All groups of one device, with incremental byte accounting."""
 
-    def __init__(self, gamma: int = 0):
-        self.gamma = gamma
+    def __init__(self):
         self.groups: dict = {}
         self.total_bytes = 0
 
@@ -355,11 +307,12 @@ class MappingTable:
             g = self.groups[gid] = GroupTable()
         return g
 
-    def insert_fitted(self, fitted: Iterable[FittedSegment]):
+    def insert_fitted(self, fitted: Iterable[tuple]):
+        """Insert learn_segments' (group id, Segment) pairs; the table takes
+        ownership of the segments and updates them in place."""
         touched = set()
-        for fs in fitted:
-            gid = fs.start_lpa // GROUP_SIZE
-            self.group(gid).seg_update(Segment.from_fitted(fs))
+        for gid, seg in fitted:
+            self.group(gid).seg_update(seg)
             touched.add(gid)
         for gid in touched:
             self._touch(gid, self.groups[gid])

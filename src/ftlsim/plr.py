@@ -1,20 +1,21 @@
 """Gamma-bounded piecewise linear fitting of (LPA, PPA) batches.
 
-A fitted segment predicts ppa = ceil(K * x + I) where x is the LPA offset
-within the segment's 256-LPA group, K is a binary16 slope and I an intercept
-in absolute PPA units.  Approximate segments guarantee |prediction - ppa| <=
-gamma for every member; accurate segments predict exactly and their members
-form an arithmetic LPA progression so membership is decidable from the slope
-alone (stride = ceil(1/K)).
+Segment is the one segment type: the learner builds it and the mapping
+table stores it.  A segment predicts ppa = ceil(K * x + I) where x is the
+LPA offset within the segment's 256-LPA group, K is a binary16 slope and I
+an intercept in absolute PPA units.  Approximate segments guarantee
+|prediction - ppa| <= gamma for every member; accurate segments predict
+exactly and their members form an arithmetic LPA progression so membership
+is decidable from the slope alone (stride = ceil(1/K)).
 
 The learner is a two-phase greedy over two primitives: _run_ends finds
 where the exact run (constant LPA stride, PPA step exactly 1) starting at
 each point ends, and _cone the feasible slopes of lines through a point.
 Maximal runs of at least RUN_MIN members become accurate segments; a
 leftover stretch is cut into its exact runs at gamma 0, and into the
-byte-minimal mix of runs and cone pieces at gamma > 0.  Run extraction does not depend on gamma, which keeps the
-output monotone: a wider gamma never yields more segments or more CRB bytes
-on the same input.
+byte-minimal mix of runs and cone pieces at gamma > 0.  Run extraction
+does not depend on gamma, which keeps the output monotone: a wider gamma
+never yields more segments or more CRB bytes on the same input.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 GROUP_SIZE = 256
 # Minimum members for the run-extraction phase.  Shorter runs are cheaper to
@@ -77,34 +78,45 @@ def quantize_slope(slope: float, accurate: bool = True) -> int:
     return best[1]
 
 
-class FittedSegment(NamedTuple):
-    """One learned segment, still carrying its member LPAs.
+class Segment:
+    """One learned segment of a 256-LPA group, in group-relative offsets.
 
-    start_lpa is absolute; length is last_member - start_lpa (0 for a
-    single-point segment).  slope is the decoded binary16 value, intercept is
-    binary32-rounded and in absolute PPA units at group offset 0.
+    Members run from start to start + length (0 for a single point); an
+    accurate segment's members are every stride-th offset, an approximate
+    one's are listed in its CRB run (``run[0] == start``).  slope is the
+    decoded binary16 value, intercept is binary32-rounded, in PPA units at
+    offset 0.  The mapping table tightens length as newer segments mask
+    members away; -1 marks a segment whose members are all masked.
     """
 
-    start_lpa: int
-    length: int
-    slope_bits: int
-    slope: float
-    intercept: float
-    members: tuple
+    __slots__ = ("start", "length", "slope_bits", "slope", "intercept", "run")
+
+    def __init__(self, start, length, slope_bits, slope, intercept, run=None):
+        self.start = start
+        self.length = length
+        self.slope_bits = slope_bits
+        self.slope = slope
+        self.intercept = intercept
+        self.run = run
 
     @property
-    def accurate(self) -> bool:
+    def accurate(self):
         return (self.slope_bits & 1) == 0
 
     @property
-    def stride(self) -> int:
-        if self.length == 0:
-            return 1
-        return math.ceil(1.0 / self.slope)
+    def end(self):
+        return self.start + (self.length if self.length > 0 else 0)
 
-    def predict(self, lpa: int) -> int:
-        x = lpa % GROUP_SIZE
-        return math.ceil(self.slope * x + self.intercept)
+    @property
+    def stride(self):
+        return 1 if self.length <= 0 else math.ceil(1.0 / self.slope)
+
+    def predict(self, offset):
+        return math.ceil(self.slope * offset + self.intercept)
+
+    def __repr__(self):
+        kind = "acc" if self.accurate else "apx"
+        return f"<Segment {kind} [{self.start},{self.start + self.length}] k={self.slope:.4f}>"
 
 
 def _fits(k, intercept, pts, gamma, bounds) -> bool:
@@ -116,33 +128,6 @@ def _fits(k, intercept, pts, gamma, bounds) -> bool:
         if pred - y > gamma or y - pred > gamma:
             return False
         if bounds is not None and not bounds[0] <= pred <= bounds[1]:
-            return False
-    return True
-
-
-def requantize_check(
-    segment: FittedSegment,
-    points: Sequence,
-    gamma: int,
-    bounds: Optional[tuple] = None,
-) -> bool:
-    """Re-verify a segment against its members after slope quantization.
-
-    Accurate segments must predict every member exactly and the stride
-    derived from the quantized slope must reproduce the member set.
-    Approximate segments must keep every member within gamma.  When bounds
-    (min_ppa, max_ppa) are given, every prediction must also land inside.
-    """
-    base = segment.start_lpa - segment.start_lpa % GROUP_SIZE
-    rel = [(lpa - base, ppa) for lpa, ppa in points]
-    tolerance = 0 if segment.accurate else gamma
-    if not _fits(segment.slope, segment.intercept, rel, tolerance, bounds):
-        return False
-    if segment.accurate and segment.length > 0:
-        stride = segment.members[1] - segment.members[0]
-        if math.ceil(1.0 / segment.slope) != stride:
-            return False
-        if segment.length % stride != 0:
             return False
     return True
 
@@ -180,8 +165,8 @@ def _accurate_slope_bits(stride: int) -> Optional[int]:
     return result
 
 
-def _single_point(base: int, x: int, y: int) -> FittedSegment:
-    return FittedSegment(base + x, 0, 0, 0.0, float(y), (base + x,))
+def _single_point(x: int, y: int) -> Segment:
+    return Segment(x, 0, 0, 0.0, float(y))
 
 
 def _run_ends(pts) -> list:
@@ -234,7 +219,7 @@ def _cone(pts, j, stop, gamma, bounds) -> tuple:
     return stop, lo, hi
 
 
-def _fit_run(base, pts) -> Optional[FittedSegment]:
+def _fit_run(pts) -> Optional[Segment]:
     """Fit an accurate segment over an exact run (see _run_ends)."""
     stride = pts[1][0] - pts[0][0]
     bits = _accurate_slope_bits(stride)
@@ -251,12 +236,10 @@ def _fit_run(base, pts) -> Optional[FittedSegment]:
     intercept = _f32(y0 - k * x0 - drift)
     if not _fits(k, intercept, pts, 0, None):
         return None
-    return FittedSegment(
-        base + x0, span, bits, k, intercept, tuple([base + x for x, _ in pts])
-    )
+    return Segment(x0, span, bits, k, intercept)
 
 
-def _fit_approximate(base, pts, gamma, bounds) -> Optional[FittedSegment]:
+def _fit_approximate(pts, gamma, bounds) -> Optional[Segment]:
     _, lo, hi = _cone(pts, 0, len(pts) - 1, gamma, bounds)
     x0, y0 = pts[0]
     k_mid = (lo + hi) / 2.0
@@ -274,17 +257,10 @@ def _fit_approximate(base, pts, gamma, bounds) -> Optional[FittedSegment]:
     intercept = _f32(y0 - 0.5 - k * x0)
     if not _fits(k, intercept, pts, gamma, bounds):
         return None
-    return FittedSegment(
-        base + x0,
-        pts[-1][0] - x0,
-        bits,
-        k,
-        intercept,
-        tuple([base + x for x, _ in pts]),
-    )
+    return Segment(x0, pts[-1][0] - x0, bits, k, intercept, [x for x, _ in pts])
 
 
-def _learn_stretch(base, pts, gamma, bounds, out) -> None:
+def _learn_stretch(pts, gamma, bounds, out) -> None:
     """Fit one leftover stretch (group-relative points).
 
     gamma=0 emits each exact run as its own piece; gamma>0 picks the
@@ -292,17 +268,17 @@ def _learn_stretch(base, pts, gamma, bounds, out) -> None:
     table size non-increasing as gamma widens.
     """
     if gamma > 0:
-        _dp_stretch(base, pts, gamma, bounds, out)
+        _dp_stretch(pts, gamma, bounds, out)
         return
     ends = _run_ends(pts)
     start = 0
     while start < len(pts):
         end = ends[start]
-        _emit(base, pts[start : end + 1], True, gamma, bounds, out)
+        _emit(pts[start : end + 1], True, gamma, bounds, out)
         start = end + 1
 
 
-def _dp_stretch(base, pts, gamma, bounds, out) -> None:
+def _dp_stretch(pts, gamma, bounds, out) -> None:
     """Byte-minimal partition of a leftover stretch into segments.
 
     A piece costs 8 bytes when it is a single point or an exact run
@@ -358,50 +334,52 @@ def _dp_stretch(base, pts, gamma, bounds, out) -> None:
         cuts.append((j, i))
         i = j
     for j, i in reversed(cuts):
-        _emit(base, pts[j:i], i - 1 <= run_ext[j], gamma, bounds, out)
+        _emit(pts[j:i], i - 1 <= run_ext[j], gamma, bounds, out)
 
 
-def _emit(base, pts, exact, gamma, bounds, out) -> None:
+def _emit(pts, exact, gamma, bounds, out) -> None:
     """Fit one piece; exact says it is an exact run (see _run_ends)."""
     if len(pts) == 1:
-        out.append(_single_point(base, pts[0][0], pts[0][1]))
+        out.append(_single_point(*pts[0]))
         return
     if exact:
-        seg = _fit_run(base, pts)
+        seg = _fit_run(pts)
         if seg is not None:
             out.append(seg)
             return
-    seg = _fit_approximate(base, pts, gamma, bounds)
+    seg = _fit_approximate(pts, gamma, bounds)
     if seg is not None:
         out.append(seg)
         return
     # Quantization pushed a prediction out of tolerance; split and refit.
     mid = len(pts) // 2
-    _learn_stretch(base, pts[:mid], gamma, bounds, out)
-    _learn_stretch(base, pts[mid:], gamma, bounds, out)
+    _learn_stretch(pts[:mid], gamma, bounds, out)
+    _learn_stretch(pts[mid:], gamma, bounds, out)
 
 
-def _learn_group(base, pts, gamma, bounds, out) -> None:
+def _learn_group(pts, gamma, bounds) -> list:
+    """Segments of one group's (offset, ppa) points, in offset order."""
     n = len(pts)
     if n == 1:
-        out.append(_single_point(base, pts[0][0], pts[0][1]))
-        return
+        return [_single_point(*pts[0])]
+    out: list = []
     ends = _run_ends(pts)
     pending_start = 0
     i = 0
     while i < n:
         j = ends[i]
         if j - i + 1 >= RUN_MIN:
-            seg = _fit_run(base, pts[i : j + 1])
+            seg = _fit_run(pts[i : j + 1])
             if seg is not None:
                 if pending_start < i:
-                    _learn_stretch(base, pts[pending_start:i], gamma, bounds, out)
+                    _learn_stretch(pts[pending_start:i], gamma, bounds, out)
                 out.append(seg)
                 i = pending_start = j + 1
                 continue
         i += 1
     if pending_start < n:
-        _learn_stretch(base, pts[pending_start:], gamma, bounds, out)
+        _learn_stretch(pts[pending_start:], gamma, bounds, out)
+    return out
 
 
 def learn_segments(
@@ -416,7 +394,8 @@ def learn_segments(
     segment is guaranteed to land inside them; the FTL uses this to pin
     predictions to the flash block that holds the batch.
 
-    Returns segments in LPA order; their member tuples partition the input.
+    Returns (group id, Segment) pairs in LPA order; the members the
+    segments encode partition the input.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -431,11 +410,10 @@ def learn_segments(
         gid = lpa // GROUP_SIZE
         if gid != group_id:
             if group_pts:
-                base = group_id * GROUP_SIZE
-                _learn_group(base, group_pts, gamma, bounds, out)
+                out += [(group_id, s) for s in _learn_group(group_pts, gamma, bounds)]
             group_id = gid
             group_pts = []
         group_pts.append((lpa % GROUP_SIZE, ppa))
     if group_pts:
-        _learn_group(group_id * GROUP_SIZE, group_pts, gamma, bounds, out)
+        out += [(group_id, s) for s in _learn_group(group_pts, gamma, bounds)]
     return out

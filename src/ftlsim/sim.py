@@ -19,6 +19,7 @@ from .leaftl import LeaFtl
 from .workload import expand
 
 SCHEMA_VERSION = 1
+SAMPLE_INTERVAL = 10_000  # ops between mapping_bytes_samples entries
 
 FTL_KINDS = {"leaftl": LeaFtl, "dftl": Dftl, "sftl": Sftl}
 
@@ -51,7 +52,6 @@ def run(
     oracle: bool = True,
     crash_at: int | None = None,
     force_gc_every: int | None = None,
-    sample_interval: int = 10000,
 ) -> dict:
     """Drive one FTL over a trace; returns the metrics document."""
     ftl = build_ftl(kind, conf)
@@ -94,7 +94,7 @@ def run(
             latest = dict(committed)
             ftl.recover()
             crashes += 1
-        if sample_interval and ops % sample_interval == 0:
+        if ops % SAMPLE_INTERVAL == 0:
             samples.append([ops, ftl.mapping_bytes()])
     flushed = ftl.flush_block(force=True)
     if flushed:

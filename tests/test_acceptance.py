@@ -86,9 +86,15 @@ def test_criterion_01_gamma_bound_property():
         truth = dict(pts)
         segs = learn_segments(pts, gamma)
         members = []
-        for seg in segs:
-            for lpa in seg.members:
-                pred = seg.predict(lpa)
+        for gid, seg in segs:
+            # members as the stored encoding gives them to lookups
+            if seg.run is not None:
+                offsets = seg.run
+            else:
+                offsets = range(seg.start, seg.end + 1, seg.stride)
+            for off in offsets:
+                lpa = gid * GROUP_SIZE + off
+                pred = seg.predict(off)
                 if seg.accurate:
                     assert pred == truth[lpa], (batch_no, lpa)
                 else:
@@ -271,7 +277,7 @@ def test_criterion_09_compaction_semantics():
     for trial in range(100):
         rng = random.Random(9000 + trial)
         gamma = rng.choice([0, 1, 4, 8, 16])
-        table = MappingTable(gamma)
+        table = MappingTable()
         ppa = rng.randrange(1 << 20)
         live = set()
         for _ in range(rng.randrange(10, 60)):

@@ -23,9 +23,8 @@ from ftlsim.mapping import (
 from ftlsim.plr import decode_slope, learn_segments, quantize_slope
 
 
-def fitted(points, gamma=0, level=None):
-    segs = learn_segments(points, gamma)
-    return [Segment.from_fitted(f) for f in segs]
+def fitted(points, gamma=0):
+    return [seg for _, seg in learn_segments(points, gamma)]
 
 
 def insert_points(group, points, gamma=0):
@@ -202,7 +201,7 @@ class TestCompaction:
         for trial in range(100):
             rng = random.Random(4000 + trial)
             gamma = rng.choice([0, 1, 4, 8, 16])
-            t = MappingTable(gamma)
+            t = MappingTable()
             oracle = {}
             apply_batches(t, oracle, rng, 40, gamma, span=512)
             snapshot = {lpa: t.lookup(lpa) for lpa in oracle}
@@ -214,7 +213,7 @@ class TestCompaction:
             check_oracle(t, oracle, gamma)
 
     def test_memory_drops_for_fully_shadowed_segment(self):
-        t = MappingTable(2)
+        t = MappingTable()
         t.insert_fitted(learn_segments([(i, i) for i in range(64)], 0))
         # sparse overwrite inside [0,63]: ranges still overlap after
         # masking, so the old segment is demoted rather than merged
@@ -236,7 +235,7 @@ class TestSerialization:
         for trial in range(60):
             rng = random.Random(9000 + trial)
             gamma = rng.choice([0, 4, 16])
-            t = MappingTable(gamma)
+            t = MappingTable()
             oracle = {}
             apply_batches(t, oracle, rng, 25, gamma, span=256)
             g = t.groups[0]
@@ -248,7 +247,7 @@ class TestSerialization:
             assert g2.bytes() == g.bytes()
 
     def test_serialized_size_tracks_accounting(self):
-        t = MappingTable(4)
+        t = MappingTable()
         rng = random.Random(1)
         oracle = {}
         apply_batches(t, oracle, rng, 10, 4, span=256)
@@ -331,9 +330,8 @@ def test_group_counters_and_blobs_stay_current(ops):
         if op == "insert":
             t.insert_fitted(learn_segments(pts, gamma))
         elif op == "seg_update":
-            for fs in learn_segments(pts, gamma):
-                gid = fs.start_lpa // GROUP_SIZE
-                t.group(gid).seg_update(Segment.from_fitted(fs), level)
+            for gid, seg in learn_segments(pts, gamma):
+                t.group(gid).seg_update(seg, level)
                 t._touch(gid, t.groups[gid])
         elif op == "compact":
             t.compact()

@@ -11,44 +11,60 @@ from hypothesis import strategies as st
 
 from ftlsim.plr import (
     GROUP_SIZE,
-    FittedSegment,
+    _fits,
     _run_ends,
     decode_slope,
     learn_segments,
     quantize_slope,
-    requantize_check,
 )
 
 
-def check_segments(segments, points, gamma):
-    """Every member predicted within gamma; accurate segments exact;
-    members partition the input in order."""
+def encoded_members(seg):
+    """Group offsets the segment's stored encoding claims, as lookups read
+    it: the CRB run if it has one, else every stride-th offset."""
+    if seg.run is not None:
+        return seg.run
+    return range(seg.start, seg.end + 1, seg.stride)
+
+
+def check_segments(pairs, points, gamma):
+    """Every encoded member predicted within gamma; accurate segments
+    exact; encoded members partition the input in order."""
     truth = dict(points)
     covered = []
-    for seg in segments:
+    for gid, seg in pairs:
         assert 0.0 <= seg.slope <= 1.0
-        group = seg.start_lpa // GROUP_SIZE
-        assert (seg.start_lpa + seg.length) // GROUP_SIZE == group
-        for lpa in seg.members:
+        assert 0 <= seg.start <= seg.end < GROUP_SIZE
+        for off in encoded_members(seg):
+            lpa = gid * GROUP_SIZE + off
             covered.append(lpa)
-            err = seg.predict(lpa) - truth[lpa]
-            assert abs(err) <= gamma, (seg, lpa, err)
+            err = seg.predict(off) - truth[lpa]
+            assert abs(err) <= gamma, (gid, seg, lpa, err)
             if seg.accurate:
-                assert err == 0, (seg, lpa, err)
+                assert err == 0, (gid, seg, lpa, err)
     assert covered == [lpa for lpa, _ in points]
+
+
+def fields(pairs):
+    return [
+        (gid, s.start, s.length, s.slope_bits, s.slope, s.intercept, s.run)
+        for gid, s in pairs
+    ]
 
 
 class TestExamples:
     def test_sequential_exact_fit(self):
         segs = learn_segments([(0, 32), (1, 33), (2, 34), (3, 35)], 0)
         assert len(segs) == 1
-        seg = segs[0]
+        gid, seg = segs[0]
+        assert gid == 0
         assert seg.accurate
         assert seg.length == 3
         assert seg.predict(2) == 34
 
     def test_single_point(self):
-        (seg,) = learn_segments([(7, 1000)], 0)
+        ((gid, seg),) = learn_segments([(7, 1000)], 0)
+        assert gid == 0 and seg.start == 7 and seg.run is None
         assert seg.length == 0
         assert seg.slope == 0.0
         assert seg.intercept == pytest.approx(1000, abs=1)
@@ -58,7 +74,7 @@ class TestExamples:
         pts = [(0, 64), (1, 65), (2, 66), (4, 66), (6, 68), (7, 68)]
         segs = learn_segments(pts, 4)
         assert len(segs) == 1
-        assert not segs[0].accurate
+        assert not segs[0][1].accurate
         check_segments(segs, pts, 4)
 
     def test_no_unit_slope_line_fits_distant_points(self):
@@ -82,8 +98,14 @@ class TestExamples:
         pts = [(i, 100 + i) for i in range(250, 260)]
         segs = learn_segments(pts, 0)
         assert len(segs) == 2
-        assert segs[0].start_lpa // GROUP_SIZE == 0
-        assert segs[1].start_lpa // GROUP_SIZE == 1
+        assert [gid for gid, _ in segs] == [0, 1]
+        check_segments(segs, pts, 0)
+
+    def test_long_accurate_run(self):
+        pts = [(i, 500 + i) for i in range(256)]
+        segs = learn_segments(pts, 0)
+        ((_, seg),) = segs
+        assert seg.accurate and seg.length == 255
         check_segments(segs, pts, 0)
 
 
@@ -116,28 +138,16 @@ class TestQuantizeSlope:
         assert struct.pack("<H", bits)  # fits in 16 bits
 
 
-class TestRequantizeCheck:
-    def test_long_accurate_run(self):
-        pts = [(i, 500 + i) for i in range(256)]
-        (seg,) = learn_segments(pts, 0)
-        assert seg.accurate and seg.length == 255
-        assert requantize_check(seg, pts, 0)
-
+class TestFits:
     def test_single_point_always_true(self):
-        (seg,) = learn_segments([(3, 42)], 0)
-        assert requantize_check(seg, [(3, 42)], 0)
+        ((_, seg),) = learn_segments([(3, 42)], 0)
+        assert _fits(seg.slope, seg.intercept, [(3, 42)], 0, None)
 
     def test_out_of_bound_fit_rejected(self):
-        # hand-built segment whose prediction misses one member by gamma+1
-        seg = FittedSegment(
-            start_lpa=0,
-            length=4,
-            slope_bits=quantize_slope(1.0, False) | 1,
-            slope=1.0,
-            intercept=10.0,
-            members=(0, 4),
-        )
-        assert not requantize_check(seg, [(0, 10), (4, 16)], 1)
+        # slope 1, intercept 10 misses (4, 16) by gamma + 1
+        assert _fits(1.0, 10.0, [(0, 10), (4, 15)], 1, None)
+        assert not _fits(1.0, 10.0, [(0, 10), (4, 16)], 1, None)
+        assert not _fits(1.0, 10.0, [(0, 10), (4, 15)], 1, (10, 13))
 
 
 def random_batch(rng, kind):
@@ -175,7 +185,7 @@ def test_gamma0_run_fit_ignores_following_point(run, follower):
     # the point that breaks an exact run must not narrow the run's own fit
     alone = learn_segments(run, 0)
     followed = learn_segments(run + [follower], 0)
-    assert followed[: len(alone)] == alone
+    assert fields(followed[: len(alone)]) == fields(alone)
     check_segments(followed, run + [follower], 0)
 
 
@@ -195,9 +205,9 @@ def test_bounds_clamp_predictions():
         pts = random_batch(rng, "rand")
         lo = pts[0][1]
         hi = pts[-1][1]
-        for seg in learn_segments(pts, 16, bounds=(lo, hi)):
-            for lpa in seg.members:
-                assert lo <= seg.predict(lpa) <= hi
+        for _, seg in learn_segments(pts, 16, bounds=(lo, hi)):
+            for off in encoded_members(seg):
+                assert lo <= seg.predict(off) <= hi
 
 
 @settings(max_examples=200, deadline=None)
