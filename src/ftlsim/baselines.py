@@ -33,7 +33,7 @@ class _TpageCachingFtl(FtlBase):
         if prev is None:
             # demand load from the translation region
             self.translation_reads += 1
-            self.background_us += self.dev.lat.read_us
+            self.background_us += self.conf.read_us
             prev = False
         cache[tvpn] = prev or dirty
         if len(cache) > self.tcache_cap:
@@ -41,7 +41,7 @@ class _TpageCachingFtl(FtlBase):
             del cache[victim]
             if was_dirty:
                 self.translation_writes += 1
-                self.background_us += self.dev.lat.write_us
+                self.background_us += self.conf.write_us
 
     def _map_insert(self, entries, first_ppa):
         m = self.map

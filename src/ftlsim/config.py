@@ -1,10 +1,11 @@
-"""Simulation configuration: defaults, key=value config files, size suffixes."""
+"""Simulation configuration: the one record of the simulated device (geometry,
+latencies, gamma) and the FTL policies; key=value config files, size
+suffixes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
-
-from .flash import Geometry, Latencies
 
 
 class ConfigError(Exception):
@@ -47,74 +48,74 @@ class Config:
     gc_high: float = 0.25  # collect until free fraction reaches this
     wear_threshold: int = 0  # max-min erase count; 0 disables wear leveling
 
-    _INT_FIELDS = {
-        "channels",
-        "blocks_per_channel",
-        "pages_per_block",
-        "gamma",
-        "compaction_interval",
-        "snapshot_interval",
-        "wear_threshold",
-    }
+    # ints that also accept k/m/g/t suffixes
     _SIZE_FIELDS = {"page_size", "oob_size", "dram_bytes", "buffer_bytes"}
-    _FLOAT_FIELDS = {"read_us", "write_us", "erase_us", "op_ratio", "gc_low", "gc_high"}
-    _BOOL_FIELDS = {"snapshot_on_gc"}
+
+    @property
+    def total_blocks(self) -> int:
+        return self.channels * self.blocks_per_channel
 
     @property
     def total_pages(self) -> int:
-        return self.channels * self.blocks_per_channel * self.pages_per_block
+        return self.total_blocks * self.pages_per_block
 
     @property
     def logical_pages(self) -> int:
         return int(self.total_pages * (1.0 - self.op_ratio))
 
-    def geometry(self) -> Geometry:
-        return Geometry(
-            self.channels,
-            self.blocks_per_channel,
-            self.pages_per_block,
-            self.page_size,
-            self.oob_size,
-        )
-
-    def latencies(self) -> Latencies:
-        return Latencies(self.read_us, self.write_us, self.erase_us)
-
     def validate(self) -> "Config":
-        try:
-            self.geometry().validate(self.gamma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        for field in ("channels", "blocks_per_channel", "pages_per_block", "page_size"):
+            if getattr(self, field) <= 0:
+                raise ConfigError(f"{field} must be positive")
         if self.gamma < 0:
             raise ConfigError("gamma must be >= 0")
+        need = 4 * (2 * self.gamma + 1)
+        if self.oob_size < need:
+            raise ConfigError(
+                f"oob_size {self.oob_size} too small for gamma={self.gamma}: "
+                f"need {need} bytes of reverse mappings"
+            )
         if not 0.0 <= self.op_ratio < 0.9:
             raise ConfigError("op_ratio must be in [0, 0.9)")
         if self.buffer_bytes < self.pages_per_block * self.page_size:
             raise ConfigError("buffer_bytes smaller than one flash block")
         if not 0.0 < self.gc_low < self.gc_high <= 1.0:
             raise ConfigError("need 0 < gc_low < gc_high <= 1")
-        if min(self.read_us, self.write_us, self.erase_us) < 0:
-            raise ConfigError("latencies must be >= 0")
+        for us in (self.read_us, self.write_us, self.erase_us):
+            if not (math.isfinite(us) and us >= 0):
+                raise ConfigError("latencies must be finite and >= 0")
         return self
 
     def with_overrides(self, overrides: dict) -> "Config":
         return replace(self, **_coerce(overrides)).validate()
 
 
+_BOOL_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
+def _parse_bool(text) -> bool:
+    """Parse 1/true/yes/on or 0/false/no/off, in any case."""
+    word = str(text).strip().lower()
+    if word not in _BOOL_WORDS:
+        raise ConfigError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+    return _BOOL_WORDS[word]
+
+
+# field annotation (a string under `from __future__ import annotations`) -> parser
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
+
+
 def _coerce(raw: dict) -> dict:
-    known = {f.name for f in fields(Config)}
+    types = {f.name: f.type for f in fields(Config)}
     out = {}
     for key, value in raw.items():
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in Config._SIZE_FIELDS:
-            out[key] = parse_size(value)
-        elif key in Config._INT_FIELDS:
-            out[key] = int(value)
-        elif key in Config._FLOAT_FIELDS:
-            out[key] = float(value)
-        else:  # _BOOL_FIELDS
-            out[key] = str(value).strip().lower() in ("1", "true", "yes", "on")
+        parse = parse_size if key in Config._SIZE_FIELDS else _PARSERS[types[key]]
+        out[key] = parse(value)
     return out
 
 

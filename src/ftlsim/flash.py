@@ -16,8 +16,9 @@ convenience but is logically FTL DRAM state: recovery code rebuilds it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
+
+from .config import Config
 
 
 class ModelViolation(Exception):
@@ -26,41 +27,6 @@ class ModelViolation(Exception):
 
 class CapacityError(Exception):
     """No free flash block available."""
-
-
-@dataclass(frozen=True)
-class Geometry:
-    channels: int = 16
-    blocks_per_channel: int = 131072
-    pages_per_block: int = 256
-    page_size: int = 4096
-    oob_size: int = 128
-
-    @property
-    def total_blocks(self) -> int:
-        return self.channels * self.blocks_per_channel
-
-    @property
-    def total_pages(self) -> int:
-        return self.total_blocks * self.pages_per_block
-
-    def validate(self, gamma: int) -> None:
-        for field in ("channels", "blocks_per_channel", "pages_per_block", "page_size"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive")
-        need = 4 * (2 * gamma + 1)
-        if self.oob_size < need:
-            raise ValueError(
-                f"oob_size {self.oob_size} too small for gamma={gamma}: "
-                f"need {need} bytes of reverse mappings"
-            )
-
-
-@dataclass(frozen=True)
-class Latencies:
-    read_us: float = 20.0
-    write_us: float = 200.0
-    erase_us: float = 1500.0
 
 
 class BlockState:
@@ -83,44 +49,41 @@ class BlockState:
 
 
 class FlashDevice:
-    def __init__(self, geometry: Geometry, latencies: Latencies, gamma: int):
-        geometry.validate(gamma)
-        self.geo = geometry
-        self.lat = latencies
-        self.gamma = gamma
+    def __init__(self, conf: Config):
+        self.conf = conf.validate()  # geometry, latencies and gamma
         self.blocks: dict = {}
-        self._fresh = [0] * geometry.channels  # next never-used block per channel
-        self._recycled = [deque() for _ in range(geometry.channels)]  # FIFO
+        self._fresh = [0] * conf.channels  # next never-used block per channel
+        self._recycled = [deque() for _ in range(conf.channels)]  # FIFO
         self._rr = 0  # round-robin channel cursor
-        self._free_count = geometry.total_blocks
+        self._free_count = conf.total_blocks
         self.op_seq = 0  # global program sequence for recovery ordering
         self.flash_reads = 0
         self.flash_writes = 0
         self.flash_erases = 0
-        self.channel_busy_us = [0.0] * geometry.channels
+        self.channel_busy_us = [0.0] * conf.channels
 
     # -- allocation ---------------------------------------------------------
 
     def free_fraction(self) -> float:
-        return self._free_count / self.geo.total_blocks
+        return self._free_count / self.conf.total_blocks
 
     def _pop_free(self, channel: int) -> Optional[int]:
         rec = self._recycled[channel]
         if rec:
             return rec.popleft()
-        if self._fresh[channel] < self.geo.blocks_per_channel:
-            bid = channel * self.geo.blocks_per_channel + self._fresh[channel]
+        if self._fresh[channel] < self.conf.blocks_per_channel:
+            bid = channel * self.conf.blocks_per_channel + self._fresh[channel]
             self._fresh[channel] += 1
             return bid
         return None
 
     def allocate_block(self) -> int:
         """Round-robin over channels; FIFO-recycled before never-used."""
-        for i in range(self.geo.channels):
-            ch = (self._rr + i) % self.geo.channels
+        for i in range(self.conf.channels):
+            ch = (self._rr + i) % self.conf.channels
             bid = self._pop_free(ch)
             if bid is not None:
-                self._rr = (ch + 1) % self.geo.channels
+                self._rr = (ch + 1) % self.conf.channels
                 self._free_count -= 1
                 return bid
         raise CapacityError("no free flash blocks")
@@ -134,7 +97,7 @@ class FlashDevice:
     def allocate_worn_block(self) -> int:
         """Free block with the highest erase count (wear-leveling target)."""
         best = None
-        for ch in range(self.geo.channels):
+        for ch in range(self.conf.channels):
             for i, bid in enumerate(self._recycled[ch]):
                 count = self.blocks[bid].erase_count
                 if best is None or count > best[0]:
@@ -149,7 +112,7 @@ class FlashDevice:
     # -- page/block operations ----------------------------------------------
 
     def channel_of(self, block_id: int) -> int:
-        return block_id // self.geo.blocks_per_channel
+        return block_id // self.conf.blocks_per_channel
 
     def program_block(self, block_id: int, entries) -> tuple:
         """Program a batch of (lpa, payload) pairs into an erased block.
@@ -163,7 +126,7 @@ class FlashDevice:
         if blk.lpas:
             raise ModelViolation(f"block {block_id} already programmed this cycle")
         n = len(entries)
-        if n == 0 or n > self.geo.pages_per_block:
+        if n == 0 or n > self.conf.pages_per_block:
             raise ModelViolation(f"bad batch size {n}")
         blk.lpas = [e[0] for e in entries]
         blk.payloads = [e[1] for e in entries]
@@ -172,23 +135,25 @@ class FlashDevice:
         self.op_seq += 1
         blk.program_seq = self.op_seq
         self.flash_writes += n
-        elapsed = n * self.lat.write_us
+        elapsed = n * self.conf.write_us
         self.channel_busy_us[self.channel_of(block_id)] += elapsed
-        return block_id * self.geo.pages_per_block, elapsed
+        return block_id * self.conf.pages_per_block, elapsed
 
     def is_programmed(self, ppa: int) -> bool:
-        blk = self.blocks.get(ppa // self.geo.pages_per_block)
-        return blk is not None and (ppa % self.geo.pages_per_block) < len(blk.lpas)
+        blk = self.blocks.get(ppa // self.conf.pages_per_block)
+        return blk is not None and (ppa % self.conf.pages_per_block) < len(blk.lpas)
 
     def read_page(self, ppa: int) -> tuple:
         """Return (lpa, payload, elapsed_us); stale pages are readable."""
-        blk = self.blocks.get(ppa // self.geo.pages_per_block)
-        off = ppa % self.geo.pages_per_block
+        pages = self.conf.pages_per_block
+        bid = ppa // pages
+        blk = self.blocks.get(bid)
+        off = ppa % pages
         if blk is None or off >= len(blk.lpas):
             raise ModelViolation(f"read of unprogrammed page {ppa}")
         self.flash_reads += 1
-        elapsed = self.lat.read_us
-        self.channel_busy_us[self.channel_of(ppa // self.geo.pages_per_block)] += elapsed
+        elapsed = self.conf.read_us
+        self.channel_busy_us[self.channel_of(bid)] += elapsed
         return blk.lpas[off], blk.payloads[off], elapsed
 
     def read_valid(self, block_id: int, elapsed_us: float = 0.0) -> tuple:
@@ -200,7 +165,7 @@ class FlashDevice:
         read_page loop over the same pages.
         """
         blk = self.blocks[block_id]
-        read_us = self.lat.read_us
+        read_us = self.conf.read_us
         entries = [
             (lpa, payload)
             for lpa, payload, ok in zip(blk.lpas, blk.payloads, blk.valid)
@@ -221,25 +186,25 @@ class FlashDevice:
         its OOB costs nothing more, so the total overhead of a misprediction
         is the single extra read of the returned PPA.
         """
-        bid = predicted_ppa // self.geo.pages_per_block
+        bid = predicted_ppa // self.conf.pages_per_block
         blk = self.blocks.get(bid)
         if blk is None:
             return None
-        off = predicted_ppa % self.geo.pages_per_block
-        base = bid * self.geo.pages_per_block
+        off = predicted_ppa % self.conf.pages_per_block
+        base = bid * self.conf.pages_per_block
         lpas = blk.lpas
-        lo = max(0, off - self.gamma)
-        hi = min(len(lpas) - 1, off + self.gamma)
+        lo = max(0, off - self.conf.gamma)
+        hi = min(len(lpas) - 1, off + self.conf.gamma)
         for o in range(lo, hi + 1):
             if lpas[o] == wanted_lpa:
                 return base + o
         return None
 
     def invalidate_page(self, ppa: int) -> None:
-        blk = self.blocks.get(ppa // self.geo.pages_per_block)
+        blk = self.blocks.get(ppa // self.conf.pages_per_block)
         if blk is None:
             return
-        off = ppa % self.geo.pages_per_block
+        off = ppa % self.conf.pages_per_block
         if off < len(blk.valid) and blk.valid[off]:
             blk.valid[off] = False
             blk.valid_count -= 1
@@ -255,7 +220,7 @@ class FlashDevice:
         blk.erase_count += 1
         self.flash_erases += 1
         self.release_block(block_id)
-        elapsed = self.lat.erase_us
+        elapsed = self.conf.erase_us
         self.channel_busy_us[self.channel_of(block_id)] += elapsed
         return elapsed
 
@@ -264,7 +229,7 @@ class FlashDevice:
         if not counts:
             return 0
         lo = min(counts)
-        if len(self.blocks) < self.geo.total_blocks:
+        if len(self.blocks) < self.conf.total_blocks:
             lo = 0  # untouched blocks exist
         return max(counts) - lo
 

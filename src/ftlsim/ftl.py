@@ -317,13 +317,27 @@ class FtlBase:
                 blk.valid = [False] * len(blk.valid)
                 blk.valid_count = 0
 
+    def _restore_snapshot(self) -> dict:
+        """Reload the mapping from the last snapshot, if the scheme keeps one.
+        Returns the snapshot's block validity, block_id -> (program_seq,
+        valid list); a scheme without snapshots restores nothing."""
+        return {}
+
     def recover(self):
-        """Rebuild mapping and validity by scanning flash in program order."""
-        dev = self.dev
-        blocks = sorted(
-            (blk.program_seq, bid, blk) for bid, blk in dev.programmed_blocks()
-        )
-        for _, bid, blk in blocks:
+        """Restore the last snapshot, then rebuild mapping and validity of
+        every block programmed since (or never snapshotted) by replaying
+        flash in program order."""
+        validity = self._restore_snapshot()
+        replay = []
+        for bid, blk in self.dev.programmed_blocks():
+            stored = validity.get(bid)
+            if stored is not None and stored[0] == blk.program_seq:
+                blk.valid = stored[1][:]
+                blk.valid_count = sum(stored[1])
+            else:
+                replay.append((blk.program_seq, bid, blk))
+        replay.sort()
+        for _, bid, blk in replay:
             self._replay_block(bid, blk)
         self._update_cache_cap()
 
@@ -332,7 +346,7 @@ class FtlBase:
         base = bid * self.pages_per_block
         n = len(blk.lpas)
         self.recovery_reads += n
-        self.background_us += n * self.dev.lat.read_us
+        self.background_us += n * self.conf.read_us
         entries = [(blk.lpas[i], blk.payloads[i]) for i in range(n)]
         for lpa, _ in entries:
             old = self._recovery_old_ppa(lpa)

@@ -85,11 +85,9 @@ class LeaFtl(FtlBase):
             return
         blob = self.gmd.pop(gid, None)
         if blob is not None:
-            group = deserialize_group(blob)
-            self.table.groups[gid] = group
-            self.table.total_bytes += group.cached_bytes
+            self.table.add_group(gid, deserialize_group(blob))
             self.translation_reads += 1
-            self.background_us += self.dev.lat.read_us
+            self.background_us += self.conf.read_us
         self._lru[gid] = True
 
     def evict_group(self, gid):
@@ -100,7 +98,7 @@ class LeaFtl(FtlBase):
         self.gmd[gid] = serialize_group(group)
         self._lru.pop(gid, None)
         self.translation_writes += 1
-        self.background_us += self.dev.lat.write_us
+        self.background_us += self.conf.write_us
 
     def _enforce_dram(self):
         budget = self.conf.dram_bytes
@@ -128,36 +126,19 @@ class LeaFtl(FtlBase):
         self.snap = _Snapshot(blobs, validity)
         pages = max(1, len(blobs))
         self.translation_writes += pages
-        self.background_us += pages * self.dev.lat.write_us
+        self.background_us += pages * self.conf.write_us
         self.snapshots_taken += 1
 
-    def recover(self):
-        """Restore the last snapshot, then relearn post-snapshot blocks."""
+    def _restore_snapshot(self) -> dict:
+        """Reload the snapshotted table (every group resident, an empty GMD)
+        and return its block validity; FtlBase.recover relearns the rest."""
         snap = self.snap
         if snap is None:
-            super().recover()
-            return
-        table = MappingTable()
+            return {}
+        self._map_reset()
         for gid, blob in snap.blobs.items():
-            group = deserialize_group(blob)
-            table.groups[gid] = group
-            table.total_bytes += group.cached_bytes
-        self.table = table
-        self.gmd = {}
-        self._lru = {gid: True for gid in table.groups}
+            self.table.add_group(gid, deserialize_group(blob))
+        self._lru = dict.fromkeys(self.table.groups, True)
         self.translation_reads += len(snap.blobs)
-        self.background_us += len(snap.blobs) * self.dev.lat.read_us
-        dev = self.dev
-        replay = []
-        for bid, blk in dev.programmed_blocks():
-            stored = snap.validity.get(bid)
-            if stored is not None and stored[0] == blk.program_seq:
-                bitmap = stored[1]
-                blk.valid = bitmap[:]
-                blk.valid_count = sum(bitmap)
-            else:
-                replay.append((blk.program_seq, bid, blk))
-        replay.sort()
-        for _, bid, blk in replay:
-            self._replay_block(bid, blk)
-        self._update_cache_cap()
+        self.background_us += len(snap.blobs) * self.conf.read_us
+        return snap.validity

@@ -328,6 +328,11 @@ class MappingTable:
             group.seg_compact()
             self._touch(gid, group)
 
+    def add_group(self, gid, group):
+        """Make a (deserialized) group resident; the pair of drop_group."""
+        self.groups[gid] = group
+        self.total_bytes += group.cached_bytes
+
     def drop_group(self, gid):
         group = self.groups.pop(gid, None)
         if group is not None:

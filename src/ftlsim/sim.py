@@ -33,9 +33,7 @@ def build_ftl(kind: str, conf: Config):
         cls = FTL_KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown ftl kind {kind!r}; choose from {sorted(FTL_KINDS)}")
-    conf.validate()
-    dev = FlashDevice(conf.geometry(), conf.latencies(), conf.gamma)
-    return cls(conf, dev)
+    return cls(conf, FlashDevice(conf))
 
 
 def _percentile(sorted_vals, q):

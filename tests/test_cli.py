@@ -140,6 +140,17 @@ class TestConfigHandling:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "setting", ["snapshot_on_gc=ture", "write_us=inf", "read_us=nan"]
+    )
+    def test_bad_value_exits_2(self, capsys, setting):
+        rc, _ = run_main(
+            capsys,
+            ["run", "--synth", "sequential", "--count", "10"]
+            + SMALL + ["--set", setting],
+        )
+        assert rc == 2
+
     def test_capacity_fault_exits_4(self, capsys):
         rc, _ = run_main(
             capsys,

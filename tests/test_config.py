@@ -1,0 +1,49 @@
+"""Config tests: the device record's checks and derived counts, and the
+parsing of key=value overrides."""
+
+from dataclasses import fields
+
+import pytest
+
+from ftlsim.config import Config, ConfigError, build_config
+
+
+class TestDevice:
+    def test_oob_must_hold_reverse_window(self):
+        conf = Config(2, 4, 8, 4096, oob_size=4, gamma=16)
+        with pytest.raises(ConfigError):
+            conf.validate()
+        conf2 = Config(2, 4, 8, 4096, oob_size=256, gamma=16)
+        conf2.validate()  # (2*16+1)*4 = 132 <= 256
+
+    def test_page_counts(self):
+        conf = Config(2, 4, 8, 4096, 256)
+        assert conf.total_blocks == 8
+        assert conf.total_pages == 64
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("field", fields(Config), ids=lambda f: f.name)
+    def test_default_round_trips_as_text(self, field):
+        # every field type has a parser, and it reads back what str() wrote
+        conf = build_config(None, {field.name: str(field.default)})
+        assert getattr(conf, field.name) == field.default
+
+    @pytest.mark.parametrize(
+        "word,want",
+        [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+         ("0", False), ("false", False), ("NO", False), (" off ", False)],
+    )
+    def test_boolean_words(self, word, want):
+        assert build_config(None, {"snapshot_on_gc": word}).snapshot_on_gc is want
+
+    @pytest.mark.parametrize("word", ["ture", "", "2", "y"])
+    def test_other_boolean_text_is_rejected(self, word):
+        with pytest.raises(ConfigError):
+            build_config(None, {"snapshot_on_gc": word})
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1"])
+    @pytest.mark.parametrize("key", ["read_us", "write_us", "erase_us"])
+    def test_latency_must_be_finite_and_non_negative(self, key, value):
+        with pytest.raises(ConfigError):
+            build_config(None, {key: value})

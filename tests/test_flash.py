@@ -3,24 +3,21 @@ correction, validity bookkeeping, erase/recycle ordering, latencies."""
 
 import pytest
 
-from ftlsim.flash import (
-    CapacityError,
-    FlashDevice,
-    Geometry,
-    Latencies,
-    ModelViolation,
-)
+from ftlsim.config import Config
+from ftlsim.flash import CapacityError, FlashDevice, ModelViolation
 
 
-def small_dev(gamma=4, channels=2, blocks=16, pages=8, oob=256):
-    geo = Geometry(
+def small_dev(gamma=4, channels=2, blocks=16, pages=8, oob=256, **kw):
+    conf = Config(
         channels=channels,
         blocks_per_channel=blocks,
         pages_per_block=pages,
         page_size=4096,
         oob_size=oob,
+        gamma=gamma,
+        **kw,
     )
-    return FlashDevice(geo, Latencies(), gamma)
+    return FlashDevice(conf)
 
 
 def program(dev, lpas, payload_base=0):
@@ -30,32 +27,18 @@ def program(dev, lpas, payload_base=0):
     return block, first, elapsed
 
 
-class TestGeometry:
-    def test_oob_must_hold_reverse_window(self):
-        geo = Geometry(2, 4, 8, 4096, oob_size=4)
-        with pytest.raises(ValueError):
-            geo.validate(gamma=16)
-        geo2 = Geometry(2, 4, 8, 4096, oob_size=256)
-        geo2.validate(gamma=16)  # (2*16+1)*4 = 132 <= 256
-
-    def test_page_counts(self):
-        geo = Geometry(2, 4, 8, 4096, 256)
-        assert geo.total_blocks == 8
-        assert geo.total_pages == 64
-
-
 class TestReadWrite:
     def test_read_returns_programmed_lpa(self):
         dev = small_dev()
         _, first, _ = program(dev, [10, 20, 30])
         lpa, payload, elapsed = dev.read_page(first + 1)
         assert lpa == 20 and payload == 1
-        assert elapsed == dev.lat.read_us
+        assert elapsed == dev.conf.read_us
 
     def test_program_charges_per_page_write_latency(self):
         dev = small_dev()
         _, _, elapsed = program(dev, [1, 2, 3])
-        assert elapsed == 3 * dev.lat.write_us
+        assert elapsed == 3 * dev.conf.write_us
 
     def test_reading_erased_page_violates_model(self):
         dev = small_dev()
@@ -102,7 +85,7 @@ class TestValidity:
         dev = small_dev()
         block, first, _ = program(dev, [1, 2, 3])
         elapsed = dev.erase_block(block)
-        assert elapsed == dev.lat.erase_us
+        assert elapsed == dev.conf.erase_us
         assert dev.blocks[block].erase_count == 1
         assert dev.blocks[block].valid_count == 0
         with pytest.raises(ModelViolation):
@@ -161,7 +144,7 @@ class TestChannelAccounting:
         b = dev.allocate_block()
         dev.program_block(b, [(1, 1), (2, 2)])
         ch = dev.channel_of(b)
-        assert dev.channel_busy_us[ch] == 2 * dev.lat.write_us
+        assert dev.channel_busy_us[ch] == 2 * dev.conf.write_us
 
 
 class TestReadValid:
@@ -169,8 +152,7 @@ class TestReadValid:
         # 25.3 is not a binary fraction, so every float total depends on
         # the order in which the page reads are added
         def dev_with_holes():
-            geo = Geometry(2, 4, 8, 4096, 256)
-            dev = FlashDevice(geo, Latencies(read_us=25.3), 4)
+            dev = small_dev(blocks=4, read_us=25.3)
             dev.channel_busy_us = [0.7, 0.7]
             block, first, _ = program(dev, [3, 5, 8, 13, 21, 34, 55, 89])
             for off in (0, 2, 3, 6):
@@ -182,7 +164,7 @@ class TestReadValid:
         ref, ref_block = dev_with_holes()
         ref_entries = []
         ref_elapsed = 0.1
-        base = ref_block * ref.geo.pages_per_block
+        base = ref_block * ref.conf.pages_per_block
         for off, ok in enumerate(ref.blocks[ref_block].valid):
             if ok:
                 lpa, payload, el = ref.read_page(base + off)

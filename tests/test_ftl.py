@@ -193,9 +193,11 @@ class TestLeaFtlSpecifics:
         bg = ftl.background_us
         ftl._require_group(0)
         assert ftl.translation_reads == tr + 1
-        assert ftl.background_us == bg + ftl.dev.lat.read_us
+        assert ftl.background_us == bg + ftl.conf.read_us
         for lpa, want in before.items():
             assert ftl.table.lookup(lpa) == want
+        table = ftl.table
+        assert table.total_bytes == sum(g.cached_bytes for g in table.groups.values())
 
     def test_lookup_of_evicted_group_reloads_transparently(self):
         ftl = make("leaftl")
@@ -234,6 +236,28 @@ class TestLeaFtlSpecifics:
         for i, lpa in enumerate(range(1000, 1000 + k * 32)):
             assert ftl.read(lpa)[0] == 1000 + i
         assert ftl.read(127)[0] == 127
+
+    def test_recover_relearns_snapshot_blocks_reprogrammed_since(self):
+        # GC erases and reuses blocks the snapshot recorded; their stored
+        # validity belongs to the old contents and must not be restored
+        ftl = make("leaftl", gamma=4, channels=1, blocks_per_channel=16)
+        committed = dict(fill(ftl, range(128)))
+        ftl.snapshot()
+        snap_seq = max(seq for seq, _ in ftl.snap.validity.values())
+        committed.update(fill(ftl, [i % 96 for i in range(2000)], payload_base=1000))
+        ftl.crash()
+        programmed = dict(ftl.dev.programmed_blocks())
+        stale = [
+            bid
+            for bid, (seq, _) in ftl.snap.validity.items()
+            if bid in programmed and programmed[bid].program_seq != seq
+        ]
+        assert ftl.gc_invocations > 0 and stale
+        ftl.recover()
+        after = sum(blk.program_seq > snap_seq for blk in programmed.values())
+        assert ftl.blocks_relearned == after
+        for lpa, want in committed.items():
+            assert ftl.read(lpa)[0] == want
 
     def test_compaction_interval_fires(self):
         ftl = make("leaftl", compaction_interval=64)

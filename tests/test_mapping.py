@@ -338,9 +338,7 @@ def test_group_counters_and_blobs_stay_current(ops):
         else:
             for gid in list(t.groups):
                 group = t.drop_group(gid)
-                reloaded = deserialize_group(serialize_group(group))
-                t.groups[gid] = reloaded
-                t.total_bytes += reloaded.cached_bytes
+                t.add_group(gid, deserialize_group(serialize_group(group)))
         for group in t.groups.values():
             # every group carries a blob into the next update
             check_group_invariants(group)
