@@ -6,7 +6,7 @@ programmed after it, using the reverse mappings kept in each page's OOB
 area.  The simulator's oracle verifies every read afterwards.
 
 Equivalent CLI:
-    ftlsim recover-test --ftl leaftl --synth zipf --count 30000 --crash-at 15000
+    ftlsim run --ftl leaftl --synth zipf --count 30000 --crash-at 15000
 """
 
 from ftlsim import sim

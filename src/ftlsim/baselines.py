@@ -17,11 +17,12 @@ ENTRY_BYTES = 8
 class _TpageCachingFtl(FtlBase):
     """Exact lpa->ppa map with translation pages demand-cached in DRAM."""
 
-    def __init__(self, conf, device):
+    def __init__(self, device):
+        conf = device.conf
         self.map: dict = {}  # lpa -> ppa, authoritative
         self.entries_per_tpage = conf.page_size // ENTRY_BYTES
         self.tcache: dict = {}  # tvpn -> dirty flag, LRU via reinsertion
-        super().__init__(conf, device)
+        super().__init__(device)
         self.tcache_cap = max(1, conf.dram_bytes // conf.page_size)
 
     def _tvpn(self, lpa):
@@ -83,9 +84,9 @@ class Dftl(_TpageCachingFtl):
 class Sftl(_TpageCachingFtl):
     name = "sftl"
 
-    def __init__(self, conf, device):
+    def __init__(self, device):
         self._joins = 0  # adjacent (lpa, lpa+1) pairs that extend one run
-        super().__init__(conf, device)
+        super().__init__(device)
 
     def _pair_joined(self, lpa, ppa):
         """True when (lpa -> ppa) and (lpa+1) continue the same run.  Runs

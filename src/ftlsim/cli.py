@@ -5,8 +5,10 @@ Subcommands:
   compare       drive several FTLs over the same trace, print ratios
   learn-stats   fit segments to a trace's flush batches without simulating
                 flash; print segment and conflict-buffer size distributions
-  recover-test  inject a crash mid-trace, recover, and verify reads still
-                match the shadow map
+
+`run --crash-at N` injects a crash after N ops and recovers; with the oracle
+on (the default), every later read and a final scan of all written pages
+must match the shadow map.
 
 Exit codes: 0 success, 2 configuration error, 3 oracle mismatch,
 4 device capacity exhausted.
@@ -88,9 +90,9 @@ def _load_events(args, conf):
     return events
 
 
-def _emit(doc, args=None):
+def _emit(doc, args):
     sys.stdout.write(sim.to_json(doc))
-    if args is not None and getattr(args, "csv", None):
+    if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(sim.to_csv(doc))
 
@@ -159,28 +161,8 @@ def cmd_learn_stats(args):
                 if total
                 else 0.0
             ),
-        }
-    )
-
-
-def cmd_recover_test(args):
-    conf = _build_conf(args)
-    events = _load_events(args, conf)
-    doc = sim.run(
-        args.ftl,
-        conf,
-        events,
-        oracle=True,
-        crash_at=args.crash_at,
-        force_gc_every=args.force_gc_every,
-    )
-    print("recovered: equivalent")
-    print(
-        "blocks_relearned=%d recovery_reads=%d"
-        % (
-            doc["counters"]["blocks_relearned"],
-            doc["counters"]["recovery_reads"],
-        )
+        },
+        args,
     )
 
 
@@ -212,13 +194,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("learn-stats", help="segment statistics for a trace")
     _add_common(p)
     p.set_defaults(func=cmd_learn_stats)
-
-    p = sub.add_parser("recover-test", help="crash injection and recovery check")
-    p.add_argument("--ftl", choices=sorted(sim.FTL_KINDS), default="leaftl")
-    p.add_argument("--crash-at", type=int, required=True)
-    p.add_argument("--force-gc-every", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_recover_test)
 
     args = parser.parse_args(argv)
     try:

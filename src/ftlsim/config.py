@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -19,7 +19,10 @@ def parse_size(text: str) -> int:
     """Parse a byte count like '8M', '1G', '4096'."""
     s = str(text).strip().lower()
     if s and s[-1] in _SUFFIX:
-        return int(float(s[:-1]) * _SUFFIX[s[-1]])
+        size = float(s[:-1]) * _SUFFIX[s[-1]]
+        if not math.isfinite(size):
+            raise ConfigError(f"size must be finite, got {text!r}")
+        return int(size)
     return int(s)
 
 
@@ -77,6 +80,8 @@ class Config:
             )
         if not 0.0 <= self.op_ratio < 0.9:
             raise ConfigError("op_ratio must be in [0, 0.9)")
+        if self.dram_bytes < 0:
+            raise ConfigError("dram_bytes must be >= 0")
         if self.buffer_bytes < self.pages_per_block * self.page_size:
             raise ConfigError("buffer_bytes smaller than one flash block")
         if not 0.0 < self.gc_low < self.gc_high <= 1.0:

@@ -14,6 +14,8 @@ pays for every flash read on its critical path.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from .flash import FlashDevice, ModelViolation
 
 
@@ -24,13 +26,13 @@ class UnmappedRead(Exception):
 class FtlBase:
     name = "base"
 
-    def __init__(self, conf, device: FlashDevice):
-        self.conf = conf
+    def __init__(self, device: FlashDevice):
+        self.conf = conf = device.conf
         self.dev = device
         self.gamma = conf.gamma
         self.pages_per_block = conf.pages_per_block
         self.buffer: dict = {}  # lpa -> payload, insertion ordered
-        self.cache: dict = {}  # read cache, LRU via dict reinsertion
+        self.cache: OrderedDict = OrderedDict()  # read cache, LRU first
         self.cache_cap = 0
         # counters
         self.host_writes = 0
@@ -43,7 +45,6 @@ class FtlBase:
         self.translation_writes = 0
         self.mispredictions = 0
         self.extra_reads = 0
-        self.read_extra_max = 0
         self.gc_invocations = 0
         self.wear_swaps = 0
         self.compactions = 0
@@ -105,10 +106,10 @@ class FtlBase:
             self.buffer_hits += 1
             return buf[lpa], 0.0
         cache = self.cache
-        hit = cache.pop(lpa, None)
+        hit = cache.get(lpa)
         if hit is not None:
             self.cache_hits += 1
-            cache[lpa] = hit  # reinsert: most recently used
+            cache.move_to_end(lpa)
             return hit, 0.0
         res = self._map_lookup(lpa)
         if res is None:
@@ -128,12 +129,10 @@ class FtlBase:
             _, payload, el2 = self.dev.read_page(true_ppa)
             elapsed += el2
             self.extra_reads += 1
-            if self.read_extra_max < 1:
-                self.read_extra_max = 1
         if self.cache_cap:
             cache[lpa] = payload
             if len(cache) > self.cache_cap:
-                cache.pop(next(iter(cache)))
+                cache.popitem(last=False)
         return payload, elapsed
 
     # -- flush / placement ---------------------------------------------------
@@ -219,7 +218,7 @@ class FtlBase:
         self.cache_cap = budget // self.conf.page_size
         cache = self.cache
         while len(cache) > self.cache_cap:
-            cache.pop(next(iter(cache)))
+            cache.popitem(last=False)
 
     def mapping_dram_bytes(self) -> int:
         """Resident mapping structures; subclasses override when cached

@@ -32,12 +32,12 @@ class _Snapshot:
 class LeaFtl(FtlBase):
     name = "leaftl"
 
-    def __init__(self, conf, device):
+    def __init__(self, device):
         self.table = MappingTable()
         self.gmd: dict = {}  # gid -> serialized group, for evicted groups
         self._lru: dict = {}  # resident gid -> True, LRU by reinsertion
         self.snap = None
-        super().__init__(conf, device)
+        super().__init__(device)
 
     # -- mapping hooks -------------------------------------------------------
 

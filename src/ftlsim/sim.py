@@ -33,7 +33,7 @@ def build_ftl(kind: str, conf: Config):
         cls = FTL_KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown ftl kind {kind!r}; choose from {sorted(FTL_KINDS)}")
-    return cls(conf, FlashDevice(conf))
+    return cls(FlashDevice(conf))
 
 
 def _percentile(sorted_vals, q):

@@ -65,6 +65,15 @@ class TestRun:
         assert rc == 0
         assert json.loads(out)["writes"] == 1000 + 4096
 
+    def test_crash_at_recovers_under_the_oracle(self, capsys):
+        rc, out = run_main(
+            capsys,
+            ["run", "--crash-at", "6000", "--synth", "mixed",
+             "--count", "10000", "--pages", "4096", "--gamma", "8"] + SMALL,
+        )
+        assert rc == 0
+        assert json.loads(out)["crashes"] == 1
+
 
 class TestCompare:
     def test_ratio_table(self, capsys):
@@ -91,16 +100,17 @@ class TestLearnStats:
         assert doc["segments"] == doc["accurate"] + doc["approximate"]
         assert doc["segments"] > 0
 
-
-class TestRecoverTest:
-    def test_reports_equivalent(self, capsys):
-        rc, out = run_main(
+    def test_csv_output(self, capsys, tmp_path):
+        csv_path = tmp_path / "s.csv"
+        rc, _ = run_main(
             capsys,
-            ["recover-test", "--crash-at", "6000", "--synth", "mixed",
-             "--count", "10000", "--pages", "4096", "--gamma", "8"] + SMALL,
+            ["learn-stats", "--synth", "sequential", "--count", "2000",
+             "--pages", "4096", "--csv", str(csv_path)] + SMALL,
         )
         assert rc == 0
-        assert "recovered: equivalent" in out
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "key,value"
+        assert any(line.startswith("segments,") for line in lines)
 
 
 class TestConfigHandling:
@@ -141,7 +151,9 @@ class TestConfigHandling:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "setting", ["snapshot_on_gc=ture", "write_us=inf", "read_us=nan"]
+        "setting",
+        ["snapshot_on_gc=ture", "write_us=inf", "read_us=nan",
+         "dram_bytes=infk", "dram_bytes=-1k"],
     )
     def test_bad_value_exits_2(self, capsys, setting):
         rc, _ = run_main(
@@ -150,6 +162,11 @@ class TestConfigHandling:
             + SMALL + ["--set", setting],
         )
         assert rc == 2
+
+    def test_infinite_pages_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--synth", "sequential", "--pages", "infk"] + SMALL)
+        assert exc.value.code == 2
 
     def test_capacity_fault_exits_4(self, capsys):
         rc, _ = run_main(

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from ftlsim.config import Config, ConfigError, build_config
+from ftlsim.config import Config, ConfigError, build_config, parse_size
 
 
 class TestDevice:
@@ -47,3 +47,16 @@ class TestOverrides:
     def test_latency_must_be_finite_and_non_negative(self, key, value):
         with pytest.raises(ConfigError):
             build_config(None, {key: value})
+
+    @pytest.mark.parametrize("text", ["infk", "-infm", "nang", "1e400t"])
+    def test_size_must_be_finite(self, text):
+        with pytest.raises(ConfigError):
+            parse_size(text)
+        with pytest.raises(ConfigError):
+            build_config(None, {"dram_bytes": text})
+
+    @pytest.mark.parametrize("text", ["-1", "-1k"])
+    def test_dram_bytes_must_be_non_negative(self, text):
+        with pytest.raises(ConfigError):
+            build_config(None, {"dram_bytes": text})
+        assert build_config(None, {"dram_bytes": "0"}).dram_bytes == 0

@@ -42,6 +42,10 @@ def fill(ftl, lpas, payload_base=0):
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 class TestEngine:
+    def test_ftl_and_device_share_one_config(self, kind):
+        ftl = make(kind)
+        assert ftl.conf is ftl.dev.conf
+
     def test_buffer_dedups_overwrites(self, kind):
         ftl = make(kind)
         for i in range(10):
@@ -86,6 +90,18 @@ class TestEngine:
         assert got == 7
         assert ftl.dev.flash_reads == before
         assert lat == 0.0
+
+    def test_read_cache_evicts_least_recently_used(self, kind):
+        ftl = make(kind)
+        fill(ftl, range(64))
+        ftl.cache_cap = 2  # no flush follows, so the cap holds
+        for lpa in (1, 2, 1, 3):
+            assert ftl.read(lpa)[0] == lpa
+        # the hit on 1 made 2 the oldest, so inserting 3 evicted 2
+        assert list(ftl.cache) == [1, 3]
+        assert ftl.cache_hits == 1
+        ftl.write(3, 300)
+        assert list(ftl.cache) == [1]
 
     def test_waf_one_for_write_once_fill(self, kind):
         ftl = make(kind)
