@@ -5,9 +5,19 @@ demand-loaded LRU cache of those pages in DRAM (dirty pages are written back
 on eviction).  Sftl uses the same translation-page caching but compresses each
 page's entries into extent runs (consecutive LPAs mapped to consecutive PPAs),
 so its DRAM cost is 8 bytes per run instead of 8 bytes per entry.
+
+Both update the map one programmed block at a time.  A block's entries are
+sorted by LPA, so each translation page is touched once per run of entries
+that share it, when the block is mapped and when a host flush invalidates
+the entries' previous copies.  Sftl keeps its run count per programmed
+block too: it counts the joined LPA pairs the block can change before and
+after mapping it.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from operator import sub
 
 from .ftl import FtlBase
 
@@ -24,9 +34,6 @@ class _TpageCachingFtl(FtlBase):
         self.tcache: dict = {}  # tvpn -> dirty flag, LRU via reinsertion
         super().__init__(device)
         self.tcache_cap = max(1, conf.dram_bytes // conf.page_size)
-
-    def _tvpn(self, lpa):
-        return lpa // self.entries_per_tpage
 
     def _touch_tpage(self, tvpn, dirty):
         cache = self.tcache
@@ -45,16 +52,42 @@ class _TpageCachingFtl(FtlBase):
                 self.background_us += self.conf.write_us
 
     def _map_insert(self, entries, first_ppa):
+        # Sftl extends _update_map, so one block is one map.insert call even
+        # where the benchmark tracer wraps _map_insert in each class.
+        self._update_map(entries, first_ppa)
+
+    def _update_map(self, entries, first_ppa):
+        """Map sorted entries to consecutive PPAs from first_ppa.  Touching
+        the page just touched again changes nothing (it is the most recent
+        entry of a cache of at least one page), so each translation page is
+        touched once per run of entries that share it."""
         m = self.map
+        per = self.entries_per_tpage
         last_tvpn = -1
-        for i, (lpa, _) in enumerate(entries):
-            ppa = first_ppa + i
-            self._note_entry(lpa, m.get(lpa), ppa)
+        for ppa, (lpa, _) in enumerate(entries, first_ppa):
             m[lpa] = ppa
-            tvpn = lpa // self.entries_per_tpage
+            tvpn = lpa // per
             if tvpn != last_tvpn:
                 last_tvpn = tvpn
                 self._touch_tpage(tvpn, dirty=True)
+
+    def _invalidate_old(self, entries):
+        """Invalidate the previous copy of each mapped LPA of a host flush.
+        Charges what a _map_lookup per mapped LPA would: one clean touch per
+        run of mapped entries that share a translation page."""
+        m = self.map
+        per = self.entries_per_tpage
+        invalidate = self.dev.invalidate_page
+        last_tvpn = -1
+        for lpa, _ in entries:
+            old = m.get(lpa)
+            if old is None:
+                continue
+            invalidate(old)
+            tvpn = lpa // per
+            if tvpn != last_tvpn:
+                last_tvpn = tvpn
+                self._touch_tpage(tvpn, dirty=False)
 
     def _map_lookup(self, lpa):
         ppa = self.map.get(lpa)
@@ -70,9 +103,6 @@ class _TpageCachingFtl(FtlBase):
     def mapping_dram_bytes(self) -> int:
         return len(self.tcache) * self.conf.page_size
 
-    def _note_entry(self, lpa, old_ppa, new_ppa):
-        pass
-
 
 class Dftl(_TpageCachingFtl):
     name = "dftl"
@@ -85,32 +115,33 @@ class Sftl(_TpageCachingFtl):
     name = "sftl"
 
     def __init__(self, device):
-        self._joins = 0  # adjacent (lpa, lpa+1) pairs that extend one run
+        # joined pairs: lpa and lpa+1 on one translation page, mapped to
+        # consecutive PPAs, so they continue one extent run
+        self._joins = 0
         super().__init__(device)
 
-    def _pair_joined(self, lpa, ppa):
-        """True when (lpa -> ppa) and (lpa+1) continue the same run.  Runs
-        never span a translation page, mirroring per-page extent encoding."""
-        if (lpa + 1) % self.entries_per_tpage == 0:
-            return False
-        return self.map.get(lpa + 1) == ppa + 1
+    def _update_map(self, entries, first_ppa):
+        """Keep _joins exact across the block: only pairs with a member in
+        the block can change, so count the joined ones among them before
+        and after the update.  Runs never span a translation page, as in
+        per-page extent encoding, so a pair across a page boundary is never
+        counted."""
+        per = self.entries_per_tpage
+        lpas = {lpa for lpa, _ in entries}
+        # pair (k, k+1) for k in the block or just before a block member
+        keys = [k for k in lpas.union([lpa - 1 for lpa in lpas]) if (k + 1) % per]
+        succ = [k + 1 for k in keys]
+        before = self._joined(keys, succ)
+        super()._update_map(entries, first_ppa)
+        self._joins += self._joined(keys, succ) - before
 
-    def _note_entry(self, lpa, old_ppa, new_ppa):
-        m = self.map
-        joins = 0
-        left = None
-        if lpa % self.entries_per_tpage:
-            left = m.get(lpa - 1)
-        if old_ppa is not None:
-            if left is not None and left + 1 == old_ppa:
-                joins -= 1
-            if self._pair_joined(lpa, old_ppa):
-                joins -= 1
-        if left is not None and left + 1 == new_ppa:
-            joins += 1
-        if self._pair_joined(lpa, new_ppa):
-            joins += 1
-        self._joins += joins
+    def _joined(self, keys, succ):
+        """How many pairs (keys[i], succ[i]) map to consecutive PPAs.  A
+        missing key reads as -2 and a missing successor as -4, so a pair
+        with an unmapped member never differs by one."""
+        get = self.map.get
+        ppas = map(get, keys, repeat(-2))
+        return list(map(sub, map(get, succ, repeat(-4)), ppas)).count(1)
 
     def _map_reset(self):
         super()._map_reset()

@@ -67,16 +67,24 @@ def _build_conf(args):
     return build_config(args.config, overrides)
 
 
+def _span(args, conf):
+    """Synthetic LPA span: --pages, or the logical space capped at 1M pages."""
+    if args.pages is None:
+        return min(conf.logical_pages, 1 << 20)
+    if args.pages < 1:
+        raise ConfigError(f"--pages must be >= 1, got {args.pages}")
+    return args.pages
+
+
 def _load_events(args, conf):
     if args.trace:
         with open(args.trace) as fh:
             events = list(parse_msr(fh, page_size=conf.page_size))
     elif args.synth:
-        pages = args.pages or min(conf.logical_pages, 1 << 20)
         events = synth(
             args.synth,
             args.count,
-            pages,
+            _span(args, conf),
             seed=args.seed,
             stride=args.stride,
             theta=args.theta,
@@ -85,8 +93,8 @@ def _load_events(args, conf):
     else:
         raise ConfigError("need --trace FILE or --synth KIND")
     if args.warmup_writes:
-        pages = args.pages or min(conf.logical_pages, 1 << 20)
-        events = synth("sequential", args.warmup_writes, pages) + list(events)
+        warmup = synth("sequential", args.warmup_writes, _span(args, conf))
+        events = warmup + list(events)
     return events
 
 

@@ -86,6 +86,8 @@ class Config:
             raise ConfigError("buffer_bytes smaller than one flash block")
         if not 0.0 < self.gc_low < self.gc_high <= 1.0:
             raise ConfigError("need 0 < gc_low < gc_high <= 1")
+        if self.wear_threshold < 0:
+            raise ConfigError("wear_threshold must be >= 0")
         for us in (self.read_us, self.write_us, self.erase_us):
             if not (math.isfinite(us) and us >= 0):
                 raise ConfigError("latencies must be finite and >= 0")

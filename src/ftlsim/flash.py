@@ -94,8 +94,9 @@ class FlashDevice:
         self._recycled[self.channel_of(block_id)].append(block_id)
         self._free_count += 1
 
-    def allocate_worn_block(self) -> int:
-        """Free block with the highest erase count (wear-leveling target)."""
+    def allocate_worn_block(self) -> Optional[int]:
+        """Recycled free block with the highest erase count (wear-leveling
+        target), or None when no erased block is free."""
         best = None
         for ch in range(self.conf.channels):
             for i, bid in enumerate(self._recycled[ch]):
@@ -103,7 +104,7 @@ class FlashDevice:
                 if best is None or count > best[0]:
                     best = (count, ch, i, bid)
         if best is None:
-            return self.allocate_block()
+            return None
         _, ch, i, bid = best
         del self._recycled[ch][i]
         self._free_count -= 1

@@ -4,8 +4,10 @@ All mapping schemes share the same data path so that their flash placement
 is identical on identical traces (which makes write amplification directly
 comparable): host writes land in a DRAM buffer (last-writer-wins), a full
 block's worth is carved FIFO-by-arrival, sorted by LPA and programmed into
-one flash block.  Subclasses implement the mapping structure behind four
-hooks: _map_insert, _map_lookup, _true_ppa resolution cost, and accounting.
+one flash block.  Subclasses implement the mapping structure behind a few
+hooks: _map_insert and _map_lookup, _invalidate_old (how a host flush finds
+and invalidates each LPA's previous copy, per programmed block), _true_ppa
+resolution cost, and accounting.
 
 Latency convention: a buffered write acks in zero time; flush, GC, wear
 leveling and translation traffic accumulate in background_us.  A host read
@@ -190,11 +192,16 @@ class FtlBase:
         if relocation:
             self.gc_writes += len(entries)
         else:
-            for lpa, _ in entries:
-                old = self._true_ppa(lpa)
-                if old is not None:
-                    dev.invalidate_page(old)
+            self._invalidate_old(entries)
         self._map_insert(entries, first_ppa)
+
+    def _invalidate_old(self, entries):
+        """Invalidate the previous copy of each LPA of a host flush."""
+        dev = self.dev
+        for lpa, _ in entries:
+            old = self._true_ppa(lpa)
+            if old is not None:
+                dev.invalidate_page(old)
 
     def _true_ppa(self, lpa):
         """Resolve the current physical page of lpa, paying for any flash
@@ -287,7 +294,9 @@ class FtlBase:
         if dev.erase_spread() <= threshold:
             return None
         dest = dev.allocate_worn_block()
-        if dev.blocks.get(dest) is None or dev.blocks[dest].erase_count <= cold_count:
+        if dest is None:
+            return None
+        if dev.blocks[dest].erase_count <= cold_count:
             # nothing meaningfully hotter available; put it back
             dev.release_block(dest)
             return None

@@ -122,18 +122,20 @@ class _Level:
 class GroupTable:
     """Mapping state of one 256-LPA group.
 
-    crb (the CRB byte count) is kept up to date by every update, so bytes()
-    does not walk the runs.  blob is the serialized form the group was last
+    crb (the CRB byte count) and nsegs (the segment count over all levels)
+    are kept up to date by every update, so bytes() walks neither the runs
+    nor the levels.  blob is the serialized form the group was last
     loaded from or written to; every update drops it, so a group that was
     only read since then is not serialized again.
     """
 
-    __slots__ = ("levels", "cached_bytes", "crb", "blob")
+    __slots__ = ("levels", "cached_bytes", "crb", "nsegs", "blob")
 
     def __init__(self):
         self.levels = []
         self.cached_bytes = 0
         self.crb = 0
+        self.nsegs = 0
         self.blob = None
 
     # -- queries ----------------------------------------------------------
@@ -162,13 +164,13 @@ class GroupTable:
         return runs
 
     def segment_count(self):
-        return sum(len(level.segs) for level in self.levels)
+        return self.nsegs
 
     def crb_bytes(self):
         return self.crb
 
     def bytes(self):
-        return SEGMENT_BYTES * self.segment_count() + self.crb + GROUP_OVERHEAD_BYTES
+        return SEGMENT_BYTES * self.nsegs + self.crb + GROUP_OVERHEAD_BYTES
 
     # -- updates ----------------------------------------------------------
 
@@ -196,9 +198,11 @@ class GroupTable:
         for v in victims:
             level.remove(v)
         level.insert(seg)
+        self.nsegs += 1
         for v in victims:
             seg_merge(seg, v, self)
             if v.length < 0:
+                self.nsegs -= 1
                 continue
             if v.start <= seg.end and v.end >= seg.start:
                 self._demote(v, level_idx + 1)
@@ -241,6 +245,7 @@ class GroupTable:
                     level.starts[i] = seg.start
             for seg in doomed:
                 level.remove(seg)
+            self.nsegs -= len(doomed)
 
     def seg_compact(self):
         """Mask shadowed members out of lower levels, then promote segments
@@ -285,6 +290,7 @@ class GroupTable:
             if old.length < 0:
                 del level.starts[i]
                 del level.segs[i]
+                self.nsegs -= 1
             else:
                 level.starts[i] = old.start
 
@@ -410,6 +416,7 @@ def deserialize_group(blob: bytes) -> GroupTable:
                 approx[start] = seg
         pos = end
         group.levels.append(level)
+        group.nsegs += count
     (crb_len,) = struct.unpack_from("<H", blob, pos)
     pos += 2
     end = pos + crb_len

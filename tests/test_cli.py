@@ -153,7 +153,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "setting",
         ["snapshot_on_gc=ture", "write_us=inf", "read_us=nan",
-         "dram_bytes=infk", "dram_bytes=-1k"],
+         "dram_bytes=infk", "dram_bytes=-1k", "wear_threshold=-1"],
     )
     def test_bad_value_exits_2(self, capsys, setting):
         rc, _ = run_main(
@@ -167,6 +167,14 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--synth", "sequential", "--pages", "infk"] + SMALL)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("pages", ["-4", "0"])
+    def test_pages_below_one_exits_2(self, capsys, pages):
+        rc, _ = run_main(
+            capsys,
+            ["run", "--synth", "zipf", "--count", "200", "--pages", pages] + SMALL,
+        )
+        assert rc == 2
 
     def test_capacity_fault_exits_4(self, capsys):
         rc, _ = run_main(

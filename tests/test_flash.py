@@ -126,6 +126,21 @@ class TestAllocation:
         dev.allocate_block()
         assert dev.free_fraction() == 0.75
 
+    def test_worn_block_comes_only_from_recycled_blocks(self):
+        dev = small_dev(channels=2, blocks=4)
+        assert dev.allocate_worn_block() is None
+        assert dev.free_fraction() == 1.0
+        a, b = dev.allocate_block(), dev.allocate_block()
+        for block in (a, b):
+            program_into(dev, block)
+            dev.erase_block(block)
+        assert dev.allocate_block() == a  # recycled before fresh
+        program_into(dev, a)
+        dev.erase_block(a)
+        assert dev.allocate_worn_block() == a  # two erases against one
+        assert dev.allocate_worn_block() == b
+        assert dev.allocate_worn_block() is None
+
     def test_erase_spread(self):
         dev = small_dev(channels=1, blocks=4)
         b = dev.allocate_block()

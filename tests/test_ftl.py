@@ -2,13 +2,19 @@
 behavior: buffering, flush, WAF accounting, GC, wear leveling, group
 eviction, snapshot/recovery, and baseline memory shapes."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ftlsim import sim
 from ftlsim.baselines import Dftl, Sftl
 from ftlsim.config import Config
-from ftlsim.ftl import UnmappedRead
+from ftlsim.ftl import FtlBase, UnmappedRead
 from ftlsim.leaftl import LeaFtl
 from ftlsim.sim import build_ftl
+from ftlsim.workload import TraceEvent
 
 KINDS = {"leaftl": LeaFtl, "dftl": Dftl, "sftl": Sftl}
 
@@ -158,6 +164,19 @@ class TestEngine:
         if ftl.wear_swaps:  # spread must have crossed the threshold
             for lpa, want in live.items():
                 assert ftl.read(lpa)[0] == want
+
+    def test_wear_leveling_without_a_recycled_block_does_nothing(self, kind):
+        ftl = make(kind, channels=1, blocks_per_channel=8, wear_threshold=1)
+        dev = ftl.dev
+        block = dev.allocate_block()
+        for _ in range(2):
+            dev.program_block(block, [(0, 0)])
+            dev.erase_block(block)
+            assert dev.allocate_block() == block
+        dev.program_block(block, [(0, 0)])
+        assert dev.erase_spread() == 2  # fresh blocks count as 0 erases
+        assert ftl.wear_level() is None
+        assert dev.allocate_worn_block() is None  # no fresh block was recycled
 
     def test_identical_placement_across_schemes(self, kind):
         # same trace -> same flash write count for every scheme
@@ -314,3 +333,98 @@ class TestBaselineMemory:
             ftl.read(lpa)
         # each read lands on an uncached translation page
         assert ftl.translation_reads - before >= len(spread) - 2
+
+
+# 256-byte pages: 32 map entries per translation page, so a 32-page block
+# of a 409-page logical space spans several translation pages.
+TINY_TPAGES = dict(channels=1, page_size=256, oob_size=4, buffer_bytes=32 * 256)
+
+
+def extent_runs(mapping, per_tpage):
+    """Extent runs of an lpa->ppa map, counted by walking it in LPA order."""
+    runs = 0
+    prev = None
+    for lpa, ppa in sorted(mapping.items()):
+        if not (prev == (lpa - 1, ppa - 1) and lpa % per_tpage):
+            runs += 1
+        prev = (lpa, ppa)
+    return runs
+
+
+sftl_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["flush", "relocate", "crash"]),
+        st.sets(st.integers(0, 3 * 32 - 1), min_size=1, max_size=32),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sftl_steps)
+def test_sftl_join_count_matches_a_full_walk(steps):
+    """Sftl counts its joined pairs per programmed block; after every host
+    flush, relocation or crash and recovery the count equals a walk of the
+    whole map, so mapping_bytes is 8 bytes per extent run."""
+    ftl = make("sftl", **TINY_TPAGES)
+    per = ftl.entries_per_tpage
+    payload = 0
+    for op, lpas in steps:
+        entries = []
+        for lpa in sorted(lpas):
+            payload += 1
+            entries.append((lpa, payload))
+        if op == "flush":
+            ftl._program_batch(entries)
+        elif op == "relocate":
+            ftl._program_batch(entries, ftl.dev.allocate_block())
+        else:
+            ftl.crash()
+            ftl.recover()
+        m = ftl.map
+        joined = sum(
+            1 for lpa, ppa in m.items() if (lpa + 1) % per and m.get(lpa + 1) == ppa + 1
+        )
+        assert ftl._joins == joined
+        assert ftl.mapping_bytes() == 8 * extent_runs(m, per)
+
+
+class _PerPageDftl(Dftl):
+    _invalidate_old = FtlBase._invalidate_old
+
+
+class _PerPageSftl(Sftl):
+    _invalidate_old = FtlBase._invalidate_old
+
+
+trace_ops = st.lists(
+    st.tuples(st.sampled_from("wwwr"), st.integers(0, 408)), min_size=1, max_size=1500
+)
+
+
+@pytest.mark.parametrize(
+    "kind,reference", [("dftl", _PerPageDftl), ("sftl", _PerPageSftl)]
+)
+@settings(max_examples=40, deadline=None)
+@given(ops=trace_ops, tpages=st.integers(1, 3), fill_stride=st.integers(1, 2))
+def test_block_invalidation_matches_per_page_lookups(
+    kind, reference, ops, tpages, fill_stride
+):
+    """A host flush invalidates old copies one block at a time with one
+    clean touch per run of entries sharing a translation page.  With a
+    cache of 1-3 translation pages, which evicts inside a block, the
+    document equals that of a lookup per page through _true_ppa."""
+    conf = Config(
+        **TINY_TPAGES,
+        blocks_per_channel=16,
+        pages_per_block=32,
+        dram_bytes=tpages * 256,
+        snapshot_on_gc=False,
+    )
+    events = [TraceEvent(0, "w", lpa, 1) for lpa in range(0, 409, fill_stride)]
+    events += [TraceEvent(0, op, lpa, 1) for op, lpa in ops]
+    doc = sim.run(kind, conf, events, force_gc_every=500)
+    with mock.patch.dict(sim.FTL_KINDS, {kind: reference}):
+        want = sim.run(kind, conf, events, force_gc_every=500)
+    assert sim.to_json(doc) == sim.to_json(want)

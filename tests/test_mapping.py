@@ -298,6 +298,7 @@ def check_group_invariants(group):
     segs = [s for level in group.levels for s in level.segs]
     runs = [s.run for s in segs if s.run is not None]
     assert group.crb == sum(len(run) + 1 for run in runs)
+    assert group.nsegs == len(segs)
     assert group.cached_bytes == group.bytes()
     blob = serialize_group(group)
     group.blob = None
@@ -319,7 +320,8 @@ table_ops = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(table_ops)
 def test_group_counters_and_blobs_stay_current(ops):
-    """After every update the incremental CRB count equals a full walk, the
+    """After every update the incremental CRB and segment counts equal a
+    full walk, the
     table's byte count is current, and a group's kept blob is the one a
     fresh serialization gives."""
     t = MappingTable()
