@@ -28,9 +28,10 @@ def parse_size(text: str) -> int:
 
 @dataclass
 class Config:
-    # geometry (defaults model a 2 TB, 16-channel drive with 4 KB pages)
+    # geometry (defaults model a 64 GB, 16-channel drive with 4 KB pages:
+    # 2**24 pages, the most leaftl supports)
     channels: int = 16
-    blocks_per_channel: int = 131072
+    blocks_per_channel: int = 4096
     pages_per_block: int = 256
     page_size: int = 4096
     oob_size: int = 128

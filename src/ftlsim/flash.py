@@ -100,7 +100,7 @@ class FlashDevice:
         best = None
         for ch in range(self.conf.channels):
             for i, bid in enumerate(self._recycled[ch]):
-                count = self.blocks[bid].erase_count
+                count = self.erase_count(bid)
                 if best is None or count > best[0]:
                     best = (count, ch, i, bid)
         if best is None:
@@ -109,6 +109,11 @@ class FlashDevice:
         del self._recycled[ch][i]
         self._free_count -= 1
         return bid
+
+    def erase_count(self, block_id: int) -> int:
+        """Erase cycles of a block; 0 for a block never programmed."""
+        blk = self.blocks.get(block_id)
+        return 0 if blk is None else blk.erase_count
 
     # -- page/block operations ----------------------------------------------
 

@@ -5,9 +5,10 @@ is identical on identical traces (which makes write amplification directly
 comparable): host writes land in a DRAM buffer (last-writer-wins), a full
 block's worth is carved FIFO-by-arrival, sorted by LPA and programmed into
 one flash block.  Subclasses implement the mapping structure behind a few
-hooks: _map_insert and _map_lookup, _invalidate_old (how a host flush finds
-and invalidates each LPA's previous copy, per programmed block), _true_ppa
-resolution cost, and accounting.
+hooks: _map_insert and _map_lookup, _invalidate_old and _recovery_invalidate
+(how a host flush and a recovery replay find and invalidate each LPA's
+previous copy, per programmed block), _true_ppa resolution cost, and
+accounting.
 
 Latency convention: a buffered write acks in zero time; flush, GC, wear
 leveling and translation traffic accumulate in background_us.  A host read
@@ -296,7 +297,7 @@ class FtlBase:
         dest = dev.allocate_worn_block()
         if dest is None:
             return None
-        if dev.blocks[dest].erase_count <= cold_count:
+        if dev.erase_count(dest) <= cold_count:
             # nothing meaningfully hotter available; put it back
             dev.release_block(dest)
             return None
@@ -356,14 +357,19 @@ class FtlBase:
         self.recovery_reads += n
         self.background_us += n * self.conf.read_us
         entries = [(blk.lpas[i], blk.payloads[i]) for i in range(n)]
-        for lpa, _ in entries:
-            old = self._recovery_old_ppa(lpa)
-            if old is not None:
-                self.dev.invalidate_page(old)
+        self._recovery_invalidate(entries)
         blk.valid = [True] * n
         blk.valid_count = n
         self._map_insert(entries, base)
         self.blocks_relearned += 1
+
+    def _recovery_invalidate(self, entries):
+        """Invalidate the previous copy of each LPA of a replayed block; a
+        learned mapping may point at an erased block or mispredict."""
+        for lpa, _ in entries:
+            old = self._recovery_old_ppa(lpa)
+            if old is not None:
+                self.dev.invalidate_page(old)
 
     def _recovery_old_ppa(self, lpa):
         res = self._map_lookup(lpa)

@@ -5,7 +5,16 @@ reverse-mapping window of the predicted page.
 Group eviction: when the table outgrows its DRAM budget, least-recently-used
 groups are serialized to translation pages (modeled as a dedicated metadata
 region with counted latencies) and reloaded on demand through the global
-mapping directory (GMD).
+mapping directory (GMD).  The GMD keeps each evicted group's object, whose
+blob is its current translation-page image: nothing updates an evicted
+group, and the encoding is lossless, so decoding the blob would rebuild the
+same object.  A reload is therefore charged one translation read but does
+not decode.
+
+The encoding stores intercepts as binary32, which holds every integer only
+up to 2**24, and a single-point segment's intercept is its PPA.  So the
+device may have at most 2**24 pages (64 GB of 4 KB pages); LeaFtl refuses
+a larger one with ConfigError.
 
 Snapshots persist the serialized table plus per-block validity; recovery
 restores the snapshot and relearns only blocks programmed after it, in
@@ -14,11 +23,16 @@ program order, which replays exactly the mapping updates the crash erased.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from itertools import chain
+
+from .config import ConfigError
 from .ftl import FtlBase
 from .mapping import GROUP_SIZE, MappingTable, deserialize_group, serialize_group
 from .plr import learn_segments
 
 GMD_ENTRY_BYTES = 8
+MAX_PAGES = 1 << 24  # largest device whose PPAs round-trip through binary32
 
 
 class _Snapshot:
@@ -33,9 +47,15 @@ class LeaFtl(FtlBase):
     name = "leaftl"
 
     def __init__(self, device):
+        pages = device.conf.total_pages
+        if pages > MAX_PAGES:
+            raise ConfigError(
+                f"leaftl supports at most {MAX_PAGES} flash pages, "
+                f"the device has {pages}"
+            )
         self.table = MappingTable()
-        self.gmd: dict = {}  # gid -> serialized group, for evicted groups
-        self._lru: dict = {}  # resident gid -> True, LRU by reinsertion
+        self.gmd: dict = {}  # gid -> evicted GroupTable, its blob current
+        self._lru = OrderedDict()  # resident gid -> True, least recent first
         self.snap = None
         super().__init__(device)
 
@@ -57,14 +77,13 @@ class LeaFtl(FtlBase):
 
     def _map_lookup(self, lpa):
         gid = lpa // GROUP_SIZE
-        if gid not in self.table.groups:
-            if gid not in self.gmd:
-                return None
-            self._require_group(gid)
         lru = self._lru
         if gid in lru:
-            del lru[gid]
-        lru[gid] = True
+            lru.move_to_end(gid)
+        elif gid in self.gmd:
+            self._require_group(gid)  # reloads it as the most recent
+        else:
+            return None
         return self.table.lookup(lpa)
 
     def mapping_bytes(self) -> int:
@@ -76,37 +95,38 @@ class LeaFtl(FtlBase):
     def _map_reset(self):
         self.table = MappingTable()
         self.gmd = {}
-        self._lru = {}
+        self._lru = OrderedDict()
 
     # -- group residency -------------------------------------------------------
 
     def _require_group(self, gid):
         if gid in self.table.groups:
             return
-        blob = self.gmd.pop(gid, None)
-        if blob is not None:
-            self.table.add_group(gid, deserialize_group(blob))
+        group = self.gmd.pop(gid, None)
+        if group is not None:
+            self.table.add_group(gid, group)
             self.translation_reads += 1
             self.background_us += self.conf.read_us
         self._lru[gid] = True
 
     def evict_group(self, gid):
-        """Serialize one group to a translation page and drop it from DRAM."""
+        """Serialize one group to a translation page and drop it from DRAM;
+        the GMD keeps the group, whose blob is now that page's image."""
         group = self.table.drop_group(gid)
         if group is None:
             return
-        self.gmd[gid] = serialize_group(group)
+        serialize_group(group)
+        self.gmd[gid] = group
         self._lru.pop(gid, None)
         self.translation_writes += 1
         self.background_us += self.conf.write_us
 
     def _enforce_dram(self):
         budget = self.conf.dram_bytes
-        if self.table.total_bytes <= budget:
-            return
-        for gid in list(self._lru):
-            if self.table.total_bytes <= budget:
-                break
+        table = self.table
+        lru = self._lru
+        while table.total_bytes > budget and lru:
+            gid, _ = lru.popitem(last=False)
             self.evict_group(gid)
 
     def mapping_dram_bytes(self) -> int:
@@ -116,9 +136,10 @@ class LeaFtl(FtlBase):
 
     def snapshot(self):
         """Persist the mapping table and block validity to flash."""
-        blobs = dict(self.gmd)
-        for gid, group in self.table.groups.items():
-            blobs[gid] = serialize_group(group)
+        # evicted groups first, then resident ones: recovery restores the
+        # groups in this order, which becomes their LRU order
+        groups = chain(self.gmd.items(), self.table.groups.items())
+        blobs = {gid: serialize_group(group) for gid, group in groups}
         validity = {
             bid: (blk.program_seq, blk.valid[:])
             for bid, blk in self.dev.programmed_blocks()
@@ -138,7 +159,7 @@ class LeaFtl(FtlBase):
         self._map_reset()
         for gid, blob in snap.blobs.items():
             self.table.add_group(gid, deserialize_group(blob))
-        self._lru = dict.fromkeys(self.table.groups, True)
+        self._lru = OrderedDict.fromkeys(self.table.groups, True)
         self.translation_reads += len(snap.blobs)
         self.background_us += len(snap.blobs) * self.conf.read_us
         return snap.validity

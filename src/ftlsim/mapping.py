@@ -44,7 +44,7 @@ def has_lpa(segment: Segment, offset: int) -> bool:
         return offset == segment.start
     if segment.run is not None:
         return offset in segment.run
-    return (offset - segment.start) % segment.stride == 0
+    return (offset - segment.start) % segment.step == 0
 
 
 def get_bitmap(segment: Segment, start: int, end: int) -> int:
@@ -60,7 +60,7 @@ def get_bitmap(segment: Segment, start: int, end: int) -> int:
         return bm
     # members start, start+step, ..., up to start+length: `count` bits spaced
     # `step` apart, i.e. the repunit (2**(step*count) - 1) / (2**step - 1)
-    step = 1 if length == 0 else segment.stride
+    step = 1 if length == 0 else segment.step
     count = length // step + 1
     bm = ((1 << (step * count)) - 1) // ((1 << step) - 1)
     shift = segment.start - start
@@ -126,7 +126,11 @@ class GroupTable:
     are kept up to date by every update, so bytes() walks neither the runs
     nor the levels.  blob is the serialized form the group was last
     loaded from or written to; every update drops it, so a group that was
-    only read since then is not serialized again.
+    only read since then is not serialized again.  While blob is set, it
+    and the object stand for each other: the encoding is lossless for PPAs
+    below 2**24, so deserialize_group(blob) rebuilds this group field for
+    field, and a holder of a group nothing updates (leaftl's GMD) may keep
+    the object instead of decoding its blob.
     """
 
     __slots__ = ("levels", "cached_bytes", "crb", "nsegs", "blob")
@@ -152,7 +156,7 @@ class GroupTable:
             if seg.run is not None:
                 if offset not in seg.run:
                     continue
-            elif seg.length > 0 and (offset - seg.start) % seg.stride:
+            elif seg.length > 0 and (offset - seg.start) % seg.step:
                 continue
             ppa = math.ceil(seg.slope * offset + seg.intercept)
             return ppa, (seg.slope_bits & 1) == 0, li + 1
@@ -187,17 +191,19 @@ class GroupTable:
         while len(self.levels) <= level_idx:
             self.levels.append(_Level())
         level = self.levels[level_idx]
-        victims = []
-        pos = bisect_right(level.starts, seg.start)
-        j = pos
-        while j < len(level.segs) and level.segs[j].start <= seg.end:
-            victims.append(level.segs[j])
-            j += 1
-        if pos > 0 and level.segs[pos - 1].end >= seg.start:
-            victims.append(level.segs[pos - 1])
-        for v in victims:
-            level.remove(v)
-        level.insert(seg)
+        starts = level.starts
+        segs = level.segs
+        # victims: segments starting inside seg's range, then the one before
+        # it if that one reaches into the range; seg takes their place
+        pos = bisect_right(starts, seg.start)
+        j = bisect_right(starts, seg.end, pos)
+        victims = segs[pos:j]
+        lo = pos
+        if pos > 0 and segs[pos - 1].end >= seg.start:
+            lo = pos - 1
+            victims.append(segs[lo])
+        starts[lo:j] = (seg.start,)
+        segs[lo:j] = (seg,)
         self.nsegs += 1
         for v in victims:
             seg_merge(seg, v, self)

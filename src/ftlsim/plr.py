@@ -84,12 +84,15 @@ class Segment:
     Members run from start to start + length (0 for a single point); an
     accurate segment's members are every stride-th offset, an approximate
     one's are listed in its CRB run (``run[0] == start``).  slope is the
-    decoded binary16 value, intercept is binary32-rounded, in PPA units at
+    decoded binary16 value, intercept is binary32-rounded (a single point's
+    is its PPA, which binary32 holds exactly up to 2**24), in PPA units at
     offset 0.  The mapping table tightens length as newer segments mask
-    members away; -1 marks a segment whose members are all masked.
+    members away; -1 marks a segment whose members are all masked.  step
+    is ceil(1/slope), computed once (1 for the zero slope of a single
+    point): the member spacing of an accurate segment longer than one point.
     """
 
-    __slots__ = ("start", "length", "slope_bits", "slope", "intercept", "run")
+    __slots__ = ("start", "length", "slope_bits", "slope", "intercept", "run", "step")
 
     def __init__(self, start, length, slope_bits, slope, intercept, run=None):
         self.start = start
@@ -98,6 +101,7 @@ class Segment:
         self.slope = slope
         self.intercept = intercept
         self.run = run
+        self.step = math.ceil(1.0 / slope) if slope else 1
 
     @property
     def accurate(self):
@@ -109,7 +113,7 @@ class Segment:
 
     @property
     def stride(self):
-        return 1 if self.length <= 0 else math.ceil(1.0 / self.slope)
+        return 1 if self.length <= 0 else self.step
 
     def predict(self, offset):
         return math.ceil(self.slope * offset + self.intercept)

@@ -176,6 +176,23 @@ class TestConfigHandling:
         )
         assert rc == 2
 
+    def test_leaftl_beyond_2_24_pages_exits_2(self, capsys):
+        big = ["--set", "blocks_per_channel=65537", "--set", "pages_per_block=256",
+               "--set", "buffer_bytes=1m", "--set", "oob_size=512"]
+        argv = ["run", "--synth", "random", "--count", "512", "--pages", "4096"]
+        rc, _ = run_main(capsys, argv + SMALL + big + ["--ftl", "leaftl"])
+        assert rc == 2
+        rc, _ = run_main(capsys, argv + SMALL + big + ["--ftl", "dftl"])
+        assert rc == 0
+
+    def test_default_device_runs_leaftl(self, capsys):
+        rc, out = run_main(
+            capsys,
+            ["run", "--synth", "random", "--count", "3000", "--read-ratio", "0.5"],
+        )
+        assert rc == 0
+        assert json.loads(out)["ftl"] == "leaftl"
+
     def test_capacity_fault_exits_4(self, capsys):
         rc, _ = run_main(
             capsys,

@@ -141,6 +141,20 @@ class TestAllocation:
         assert dev.allocate_worn_block() == b
         assert dev.allocate_worn_block() is None
 
+    def test_released_never_programmed_block_counts_zero_erases(self):
+        dev = small_dev(channels=1, blocks=4)
+        fresh = dev.allocate_block()
+        dev.release_block(fresh)
+        assert dev.erase_count(fresh) == 0
+        assert dev.allocate_worn_block() == fresh
+        worn = dev.allocate_block()
+        program_into(dev, worn)
+        dev.erase_block(worn)
+        dev.release_block(fresh)
+        assert dev.allocate_worn_block() == worn  # one erase beats none
+        assert dev.allocate_worn_block() == fresh
+        assert dev.allocate_worn_block() is None
+
     def test_erase_spread(self):
         dev = small_dev(channels=1, blocks=4)
         b = dev.allocate_block()

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from ftlsim import sim
 from ftlsim.baselines import Dftl, Sftl
-from ftlsim.config import Config
+from ftlsim.config import Config, ConfigError
 from ftlsim.ftl import FtlBase, UnmappedRead
 from ftlsim.leaftl import LeaFtl
+from ftlsim.mapping import deserialize_group, serialize_group
 from ftlsim.sim import build_ftl
-from ftlsim.workload import TraceEvent
+from ftlsim.workload import TraceEvent, synth
 
 KINDS = {"leaftl": LeaFtl, "dftl": Dftl, "sftl": Sftl}
 
@@ -428,3 +429,101 @@ def test_block_invalidation_matches_per_page_lookups(
     with mock.patch.dict(sim.FTL_KINDS, {kind: reference}):
         want = sim.run(kind, conf, events, force_gc_every=500)
     assert sim.to_json(doc) == sim.to_json(want)
+
+
+class _PerPageRecoveryDftl(Dftl):
+    _recovery_invalidate = FtlBase._recovery_invalidate
+
+
+class _PerPageRecoverySftl(Sftl):
+    _recovery_invalidate = FtlBase._recovery_invalidate
+
+
+@pytest.mark.parametrize(
+    "kind,reference",
+    [("dftl", _PerPageRecoveryDftl), ("sftl", _PerPageRecoverySftl)],
+)
+@settings(max_examples=30, deadline=None)
+@given(ops=trace_ops, tpages=st.integers(1, 3), crash=st.integers(0, 1500))
+def test_recovery_invalidation_matches_per_page_lookups(
+    kind, reference, ops, tpages, crash
+):
+    """Recovery replays a block's old copies through the host flush's
+    per-block invalidation; with a cache of 1-3 translation pages the
+    document equals that of a _recovery_old_ppa lookup per page."""
+    conf = Config(
+        **TINY_TPAGES,
+        blocks_per_channel=16,
+        pages_per_block=32,
+        dram_bytes=tpages * 256,
+        snapshot_on_gc=False,
+    )
+    events = [TraceEvent(0, "w", lpa, 1) for lpa in range(409)]
+    events += [TraceEvent(0, op, lpa, 1) for op, lpa in ops]
+    crash_at = min(409 + crash, len(events))
+    doc = sim.run(kind, conf, events, force_gc_every=500, crash_at=crash_at)
+    with mock.patch.dict(sim.FTL_KINDS, {kind: reference}):
+        want = sim.run(kind, conf, events, force_gc_every=500, crash_at=crash_at)
+    assert doc["counters"]["blocks_relearned"] > 0
+    assert sim.to_json(doc) == sim.to_json(want)
+
+
+class _DecodingLeaFtl(LeaFtl):
+    """Reloads an evicted group by decoding its blob, as a device would
+    read the translation page back."""
+
+    def _require_group(self, gid):
+        assert all(group.blob is not None for group in self.gmd.values())
+        group = self.gmd.get(gid)
+        if group is not None:
+            blob = group.blob
+            group.blob = None
+            assert serialize_group(group) == blob  # the kept blob is current
+            self.gmd[gid] = deserialize_group(blob)
+        super()._require_group(gid)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    synth_kind=st.sampled_from(["zipf", "random"]),
+    seed=st.integers(0, 2**16),
+    gamma=st.sampled_from([0, 4, 16]),
+    dram=st.integers(100, 600),
+    crash=st.booleans(),
+)
+def test_group_reload_keeps_the_evicted_object(synth_kind, seed, gamma, dram, crash):
+    """A reload re-adds the evicted group object instead of decoding its
+    blob; with a DRAM budget of a few hundred bytes, groups evict and
+    reload inside every flush, and the document equals that of decoding."""
+    conf = Config(
+        channels=2,
+        blocks_per_channel=32,
+        pages_per_block=32,
+        page_size=4096,
+        oob_size=256,
+        gamma=gamma,
+        dram_bytes=dram,
+        buffer_bytes=32 * 4096,
+        compaction_interval=1500,
+        snapshot_interval=2000,
+    )
+    events = synth(synth_kind, 3000, 2048, seed=seed, read_ratio=0.4)
+    crash_at = 2500 if crash else None
+    doc = sim.run("leaftl", conf, events, crash_at=crash_at)
+    with mock.patch.dict(sim.FTL_KINDS, {"leaftl": _DecodingLeaFtl}):
+        want = sim.run("leaftl", conf, events, crash_at=crash_at)
+    assert doc["counters"]["translation_reads"] > 0
+    assert sim.to_json(doc) == sim.to_json(want)
+
+
+def test_leaftl_refuses_a_device_beyond_binary32_ppas():
+    """A single-point segment keeps its PPA as the intercept, which the
+    translation-page encoding stores as binary32: exact only up to 2**24."""
+    geometry = dict(page_size=4096, oob_size=512, gamma=0, dram_bytes=256)
+    fits = Config(channels=2, blocks_per_channel=32768, pages_per_block=256, **geometry)
+    assert fits.total_pages == 1 << 24
+    build_ftl("leaftl", fits)
+    big = Config(channels=2, blocks_per_channel=32769, pages_per_block=256, **geometry)
+    with pytest.raises(ConfigError, match="at most 16777216"):
+        build_ftl("leaftl", big)
+    build_ftl("dftl", big)  # the per-page baselines have no such limit

@@ -3,6 +3,7 @@ ownership, merge masking, compaction equivalence, serialization, and
 memory accounting."""
 
 import random
+from bisect import bisect_right
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from ftlsim.mapping import (
     GroupTable,
     MappingTable,
     Segment,
+    _Level,
     deserialize_group,
     get_bitmap,
     has_lpa,
@@ -345,3 +347,114 @@ def test_group_counters_and_blobs_stay_current(ops):
             # every group carries a blob into the next update
             check_group_invariants(group)
         assert t.total_bytes == sum(g.bytes() for g in t.groups.values())
+
+
+SEG_FIELDS = ("start", "length", "slope_bits", "slope", "intercept", "run", "step")
+
+
+def group_state(group):
+    """Everything a group's behaviour depends on, as plain values."""
+    levels = [
+        (list(level.starts), [[getattr(s, f) for f in SEG_FIELDS] for s in level.segs])
+        for level in group.levels
+    ]
+    return levels, group.crb, group.nsegs, group.cached_bytes
+
+
+fitted_batches = st.lists(
+    st.tuples(
+        st.sets(st.integers(0, 2 * GROUP_SIZE - 1), min_size=1, max_size=64),
+        st.integers(0, 16),  # gamma
+        st.booleans(),  # bounded to the batch's PPA range, as leaftl does
+        st.integers(0, (1 << 24) - 64),  # first PPA of the batch
+        st.booleans(),  # compact afterwards
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fitted_batches)
+@example([(set(range(0, 64, 3)), 0, True, (1 << 24) - 64, False)])
+def test_serialization_is_lossless(batches):
+    """Decoding a group's blob rebuilds the group: same levels and starts,
+    the same value in every segment field, the same counters and byte
+    count, and the same lookup at every offset.  PPAs reach 2**24 - 1, the
+    largest a leaftl device has, so binary32 intercepts stay exact; this is
+    what lets a reloaded leaftl group reuse its evicted object."""
+    t = MappingTable()
+    for lpas, gamma, bounded, first, compact in batches:
+        pts = [(lpa, first + i) for i, lpa in enumerate(sorted(lpas))]
+        bounds = (first, first + len(pts) - 1) if bounded else None
+        t.insert_fitted(learn_segments(pts, gamma, bounds))
+        if compact:
+            t.compact()
+    for group in t.groups.values():
+        copy = deserialize_group(serialize_group(group))
+        assert group_state(copy) == group_state(group)
+        for off in range(GROUP_SIZE):
+            assert copy.lookup(off) == group.lookup(off), off
+
+
+def reference_seg_update(group, seg, level_idx=0):
+    """GroupTable.seg_update as it was with a remove and an insert per
+    victim: the reference for the one-slice replacement."""
+    group.blob = None
+    if seg.run is not None:
+        group._crb_dedup(seg)
+        group.crb += len(seg.run) + 1
+    while len(group.levels) <= level_idx:
+        group.levels.append(_Level())
+    level = group.levels[level_idx]
+    victims = []
+    pos = bisect_right(level.starts, seg.start)
+    j = pos
+    while j < len(level.segs) and level.segs[j].start <= seg.end:
+        victims.append(level.segs[j])
+        j += 1
+    if pos > 0 and level.segs[pos - 1].end >= seg.start:
+        victims.append(level.segs[pos - 1])
+    for v in victims:
+        level.remove(v)
+    level.insert(seg)
+    group.nsegs += 1
+    for v in victims:
+        seg_merge(seg, v, group)
+        if v.length < 0:
+            group.nsegs -= 1
+            continue
+        if v.start <= seg.end and v.end >= seg.start:
+            group._demote(v, level_idx + 1)
+        else:
+            level.insert(v)
+
+
+update_steps = st.lists(
+    st.tuples(
+        st.sets(st.integers(0, GROUP_SIZE - 1), min_size=1, max_size=40),
+        st.sampled_from([0, 0, 1, 4, 16]),
+        st.integers(0, 3),  # target level
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(update_steps)
+def test_seg_update_matches_per_victim_reference(steps):
+    """Replacing the victims' slice with the new segment in one step leaves
+    the same levels as removing and inserting one victim at a time."""
+    group, ref = GroupTable(), GroupTable()
+    ppa = 5000
+    for lpas, gamma, level in steps:
+        pts = [(lpa, ppa + i) for i, lpa in enumerate(sorted(lpas))]
+        ppa += len(pts) + 7
+        # the table updates segments in place, so each side fits its own
+        for (_, seg), (_, twin) in zip(
+            learn_segments(pts, gamma), learn_segments(pts, gamma)
+        ):
+            group.seg_update(seg, level)
+            reference_seg_update(ref, twin, level)
+        assert group_state(group)[:3] == group_state(ref)[:3]
