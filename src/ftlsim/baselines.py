@@ -19,9 +19,8 @@ from __future__ import annotations
 from itertools import repeat
 from operator import sub
 
+from .config import ENTRY_BYTES
 from .ftl import FtlBase
-
-ENTRY_BYTES = 8
 
 
 class _TpageCachingFtl(FtlBase):
@@ -52,11 +51,6 @@ class _TpageCachingFtl(FtlBase):
                 self.background_us += self.conf.write_us
 
     def _map_insert(self, entries, first_ppa):
-        # Sftl extends _update_map, so one block is one map.insert call even
-        # where the benchmark tracer wraps _map_insert in each class.
-        self._update_map(entries, first_ppa)
-
-    def _update_map(self, entries, first_ppa):
         """Map sorted entries to consecutive PPAs from first_ppa.  Touching
         the page just touched again changes nothing (it is the most recent
         entry of a cache of at least one page), so each translation page is
@@ -124,7 +118,7 @@ class Sftl(_TpageCachingFtl):
         self._joins = 0
         super().__init__(device)
 
-    def _update_map(self, entries, first_ppa):
+    def _map_insert(self, entries, first_ppa):
         """Keep _joins exact across the block: only pairs with a member in
         the block can change, so count the joined ones among them before
         and after the update.  Runs never span a translation page, as in
@@ -136,7 +130,7 @@ class Sftl(_TpageCachingFtl):
         keys = [k for k in lpas.union([lpa - 1 for lpa in lpas]) if (k + 1) % per]
         succ = [k + 1 for k in keys]
         before = self._joined(keys, succ)
-        super()._update_map(entries, first_ppa)
+        super()._map_insert(entries, first_ppa)
         self._joins += self._joined(keys, succ) - before
 
     def _joined(self, keys, succ):

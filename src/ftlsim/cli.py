@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import sim
@@ -67,12 +68,28 @@ def _build_conf(args):
     return build_config(args.config, overrides)
 
 
+# flag -> smallest value it accepts
+_FLAG_MINIMUM = {"pages": 1, "crash_at": 1, "force_gc_every": 1, "warmup_writes": 0}
+
+
+def _check_flags(args):
+    """Reject flag values that would run as something else (a crash that
+    never fires, --force-gc-every -N as N, a read ratio outside [0, 1])."""
+    for flag, low in _FLAG_MINIMUM.items():
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            name = flag.replace("_", "-")
+            raise ConfigError(f"--{name} must be >= {low}, got {value}")
+    if not 0.0 <= args.read_ratio <= 1.0:
+        raise ConfigError(f"--read-ratio must be in [0, 1], got {args.read_ratio}")
+    if not math.isfinite(args.theta):
+        raise ConfigError(f"--theta must be finite, got {args.theta}")
+
+
 def _span(args, conf):
     """Synthetic LPA span: --pages, or the logical space capped at 1M pages."""
     if args.pages is None:
         return min(conf.logical_pages, 1 << 20)
-    if args.pages < 1:
-        raise ConfigError(f"--pages must be >= 1, got {args.pages}")
     return args.pages
 
 
@@ -205,6 +222,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         args.func(args)
     except (ConfigError, TraceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,8 @@ class ConfigError(ValueError):
     pass
 
 
+ENTRY_BYTES = 8  # one page-level map entry, as dftl/sftl store it
+
 _SUFFIX = {"k": 1024, "m": 1024**2, "g": 1024**3, "t": 1024**4}
 
 
@@ -68,9 +70,14 @@ class Config:
         return int(self.total_pages * (1.0 - self.op_ratio))
 
     def validate(self) -> "Config":
-        for field in ("channels", "blocks_per_channel", "pages_per_block", "page_size"):
+        for field in ("channels", "blocks_per_channel", "pages_per_block"):
             if getattr(self, field) <= 0:
                 raise ConfigError(f"{field} must be positive")
+        if self.page_size < ENTRY_BYTES:
+            raise ConfigError(
+                f"page_size {self.page_size} cannot hold one "
+                f"{ENTRY_BYTES}-byte map entry"
+            )
         if self.gamma < 0:
             raise ConfigError("gamma must be >= 0")
         need = 4 * (2 * self.gamma + 1)

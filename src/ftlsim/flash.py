@@ -58,7 +58,6 @@ class FlashDevice:
         self._free_count = conf.total_blocks
         self.op_seq = 0  # global program sequence for recovery ordering
         self.flash_reads = 0
-        self.flash_writes = 0
         self.flash_erases = 0
         self.channel_busy_us = [0.0] * conf.channels
 
@@ -140,7 +139,6 @@ class FlashDevice:
         blk.valid_count = n
         self.op_seq += 1
         blk.program_seq = self.op_seq
-        self.flash_writes += n
         elapsed = n * self.conf.write_us
         self.channel_busy_us[self.channel_of(block_id)] += elapsed
         return block_id * self.conf.pages_per_block, elapsed

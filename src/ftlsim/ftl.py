@@ -8,7 +8,7 @@ one flash block.  Subclasses implement the mapping structure behind a few
 hooks: _map_insert and _map_lookup, _invalidate_old and _recovery_invalidate
 (how a host flush and a recovery replay find and invalidate each LPA's
 previous copy, per programmed block), _true_ppa resolution cost, and
-accounting.
+accounting (mapping_bytes, and mapping_dram_bytes for what is resident).
 
 Latency convention: a buffered write acks in zero time; flush, GC, wear
 leveling and translation traffic accumulate in background_us.  A host read
@@ -32,7 +32,6 @@ class FtlBase:
     def __init__(self, device: FlashDevice):
         self.conf = conf = device.conf
         self.dev = device
-        self.gamma = conf.gamma
         self.pages_per_block = conf.pages_per_block
         self.buffer: dict = {}  # lpa -> payload, insertion ordered
         self.cache: OrderedDict = OrderedDict()  # read cache, LRU first
@@ -57,7 +56,6 @@ class FtlBase:
         self.background_us = 0.0
         self.lookup_levels: dict = {}
         self.mapping_bytes_peak = 0
-        self._flushes = 0
         self._writes_since_compact = 0
         self._writes_since_snapshot = 0
         self._update_cache_cap()
@@ -166,7 +164,6 @@ class FtlBase:
             self.snapshot()
         if self.conf.wear_threshold:
             self.wear_level()
-        self._flushes += 1
         bytes_now = self.mapping_bytes()
         if bytes_now > self.mapping_bytes_peak:
             self.mapping_bytes_peak = bytes_now
@@ -227,11 +224,6 @@ class FtlBase:
         cache = self.cache
         while len(cache) > self.cache_cap:
             cache.popitem(last=False)
-
-    def mapping_dram_bytes(self) -> int:
-        """Resident mapping structures; subclasses override when cached
-        subset differs from the full table."""
-        return self.mapping_bytes()
 
     # -- garbage collection ---------------------------------------------------
 

@@ -5,11 +5,13 @@ reverse-mapping window of the predicted page.
 Group eviction: when the table outgrows its DRAM budget, least-recently-used
 groups are serialized to translation pages (modeled as a dedicated metadata
 region with counted latencies) and reloaded on demand through the global
-mapping directory (GMD).  The GMD keeps each evicted group's object, whose
-blob is its current translation-page image: nothing updates an evicted
-group, and the encoding is lossless, so decoding the blob would rebuild the
-same object.  A reload is therefore charged one translation read but does
-not decode.
+mapping directory (GMD).  The resident table is the LRU (table.groups, least
+recent first): a lookup moves its group to the end, and a flush appends the
+groups it creates or reloads but leaves the resident ones in place.  The GMD
+keeps each evicted group's object, whose blob is its current translation-page
+image: nothing updates an evicted group, and the encoding is lossless, so
+decoding the blob would rebuild the same object.  A reload is therefore
+charged one translation read but does not decode.
 
 The encoding stores intercepts as binary32, which holds every integer only
 up to 2**24, and a single-point segment's intercept is its PPA.  So the
@@ -19,11 +21,11 @@ a larger one with ConfigError.
 Snapshots persist the serialized table plus per-block validity; recovery
 restores the snapshot and relearns only blocks programmed after it, in
 program order, which replays exactly the mapping updates the crash erased.
+The restored LRU order is the recency at the snapshot.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from itertools import chain
 
 from .config import ConfigError
@@ -55,7 +57,6 @@ class LeaFtl(FtlBase):
             )
         self.table = MappingTable()
         self.gmd: dict = {}  # gid -> evicted GroupTable, its blob current
-        self._lru = OrderedDict()  # resident gid -> True, least recent first
         self.snap = None
         super().__init__(device)
 
@@ -72,14 +73,14 @@ class LeaFtl(FtlBase):
             if gid != seen:
                 seen = gid
                 self._require_group(gid)
-        self.table.insert_fitted(learn_segments(pts, self.gamma, bounds))
+        self.table.insert_fitted(learn_segments(pts, self.conf.gamma, bounds))
         self._enforce_dram()
 
     def _map_lookup(self, lpa):
         gid = lpa // GROUP_SIZE
-        lru = self._lru
-        if gid in lru:
-            lru.move_to_end(gid)
+        groups = self.table.groups
+        if gid in groups:
+            groups.move_to_end(gid)
         elif gid in self.gmd:
             self._require_group(gid)  # reloads it as the most recent
         else:
@@ -95,19 +96,19 @@ class LeaFtl(FtlBase):
     def _map_reset(self):
         self.table = MappingTable()
         self.gmd = {}
-        self._lru = OrderedDict()
 
     # -- group residency -------------------------------------------------------
 
     def _require_group(self, gid):
-        if gid in self.table.groups:
-            return
+        """Make gid resident; a reloaded or new group joins the LRU as the
+        most recent, a resident one keeps its place."""
         group = self.gmd.pop(gid, None)
-        if group is not None:
-            self.table.add_group(gid, group)
-            self.translation_reads += 1
-            self.background_us += self.conf.read_us
-        self._lru[gid] = True
+        if group is None:
+            self.table.group(gid)
+            return
+        self.table.add_group(gid, group)
+        self.translation_reads += 1
+        self.background_us += self.conf.read_us
 
     def evict_group(self, gid):
         """Serialize one group to a translation page and drop it from DRAM;
@@ -117,17 +118,15 @@ class LeaFtl(FtlBase):
             return
         serialize_group(group)
         self.gmd[gid] = group
-        self._lru.pop(gid, None)
         self.translation_writes += 1
         self.background_us += self.conf.write_us
 
     def _enforce_dram(self):
         budget = self.conf.dram_bytes
         table = self.table
-        lru = self._lru
-        while table.total_bytes > budget and lru:
-            gid, _ = lru.popitem(last=False)
-            self.evict_group(gid)
+        groups = table.groups
+        while table.total_bytes > budget and groups:
+            self.evict_group(next(iter(groups)))
 
     def mapping_dram_bytes(self) -> int:
         return self.table.total_bytes
@@ -136,8 +135,8 @@ class LeaFtl(FtlBase):
 
     def snapshot(self):
         """Persist the mapping table and block validity to flash."""
-        # evicted groups first, then resident ones: recovery restores the
-        # groups in this order, which becomes their LRU order
+        # evicted groups first, then resident ones least recent first:
+        # recovery restores the groups in this order, which is their LRU order
         groups = chain(self.gmd.items(), self.table.groups.items())
         blobs = {gid: serialize_group(group) for gid, group in groups}
         validity = {
@@ -159,7 +158,6 @@ class LeaFtl(FtlBase):
         self._map_reset()
         for gid, blob in snap.blobs.items():
             self.table.add_group(gid, deserialize_group(blob))
-        self._lru = OrderedDict.fromkeys(self.table.groups, True)
         self.translation_reads += len(snap.blobs)
         self.background_us += len(snap.blobs) * self.conf.read_us
         return snap.validity

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_right
+from collections import OrderedDict
 from typing import Iterable
 
 from .plr import GROUP_SIZE, Segment, decode_slope
@@ -167,12 +168,6 @@ class GroupTable:
         runs.sort(key=lambda r: r[0])
         return runs
 
-    def segment_count(self):
-        return self.nsegs
-
-    def crb_bytes(self):
-        return self.crb
-
     def bytes(self):
         return SEGMENT_BYTES * self.nsegs + self.crb + GROUP_OVERHEAD_BYTES
 
@@ -229,29 +224,15 @@ class GroupTable:
             level.insert(seg)
 
     def _crb_dedup(self, new_seg):
+        """Mask new_seg's run out of every approximate segment whose run
+        shares an offset with it."""
         new_off = set(new_seg.run)
         for level in self.levels:
-            doomed = []
-            for i, seg in enumerate(level.segs):
-                run = seg.run
-                if run is None or seg is new_seg:
-                    continue
-                if not new_off.intersection(run):
-                    continue
-                kept = [o for o in run if o not in new_off]
-                self.crb -= len(run) - len(kept)
-                run[:] = kept
-                if not run:
-                    self.crb -= 1
-                    seg.length = -1
-                    doomed.append(seg)
-                else:
-                    seg.start = run[0]
-                    seg.length = run[-1] - run[0]
-                    level.starts[i] = seg.start
-            for seg in doomed:
-                level.remove(seg)
-            self.nsegs -= len(doomed)
+            segs = level.segs
+            for i in range(len(segs) - 1, -1, -1):
+                run = segs[i].run
+                if run is not None and not new_off.isdisjoint(run):
+                    self._mask_at(new_seg, level, i)
 
     def seg_compact(self):
         """Mask shadowed members out of lower levels, then promote segments
@@ -284,28 +265,34 @@ class GroupTable:
         self.levels = [lv for lv in self.levels if lv.segs]
 
     def _mask_level(self, seg, level):
-        pos = bisect_right(level.starts, seg.end)
-        victims = []
-        i = pos - 1
+        i = bisect_right(level.starts, seg.end) - 1
         while i >= 0 and level.segs[i].end >= seg.start:
-            victims.append(i)
+            self._mask_at(seg, level, i)
             i -= 1
-        for i in victims:
-            old = level.segs[i]
-            seg_merge(seg, old, self)
-            if old.length < 0:
-                del level.starts[i]
-                del level.segs[i]
-                self.nsegs -= 1
-            else:
-                level.starts[i] = old.start
+
+    def _mask_at(self, seg, level, i):
+        """Mask seg's members out of level.segs[i]: drop it if none are
+        left, else refresh its start.  Indices below i do not move."""
+        old = level.segs[i]
+        seg_merge(seg, old, self)
+        if old.length < 0:
+            del level.starts[i]
+            del level.segs[i]
+            self.nsegs -= 1
+        else:
+            level.starts[i] = old.start
 
 
 class MappingTable:
-    """All groups of one device, with incremental byte accounting."""
+    """The resident groups of one device, with incremental byte accounting.
+
+    groups is ordered least recently used first: a new or added group
+    joins at the end, and a holder that evicts by recency (leaftl) moves a
+    group it uses to the end.
+    """
 
     def __init__(self):
-        self.groups: dict = {}
+        self.groups: OrderedDict = OrderedDict()
         self.total_bytes = 0
 
     def _touch(self, gid, group):
@@ -356,8 +343,8 @@ class MappingTable:
         crb = 0
         levels = 0
         for g in self.groups.values():
-            seg_bytes += SEGMENT_BYTES * g.segment_count()
-            crb += g.crb_bytes()
+            seg_bytes += SEGMENT_BYTES * g.nsegs
+            crb += g.crb
             levels += len(g.levels)
         overhead = GROUP_OVERHEAD_BYTES * len(self.groups)
         return {

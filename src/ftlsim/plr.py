@@ -136,9 +136,7 @@ def _fits(k, intercept, pts, gamma, bounds) -> bool:
     return True
 
 
-_ACC_SLOPE_CACHE: dict = {}
-
-
+@cache
 def _accurate_slope_bits(stride: int) -> Optional[int]:
     """Even-LSB binary16 slope k with ceil(1/k) == stride, minimizing k.
 
@@ -146,8 +144,6 @@ def _accurate_slope_bits(stride: int) -> Optional[int]:
     prediction drift over a group below 1 page; returns None when binary16
     cannot represent such a slope.
     """
-    if stride in _ACC_SLOPE_CACHE:
-        return _ACC_SLOPE_CACHE[stride]
     target = 1.0 / stride
     base = _PACK_H.unpack(_PACK_E.pack(target))[0] & ~1
     best = None
@@ -161,12 +157,10 @@ def _accurate_slope_bits(stride: int) -> Optional[int]:
             continue
         if best is None or k < best[1]:
             best = (cand, k)
-    result = None
     # the segment's stride is recomputed as ceil(1/k) in binary64
     if best is not None and math.ceil(1.0 / best[1]) == stride:
-        result = best[0]
-    _ACC_SLOPE_CACHE[stride] = result
-    return result
+        return best[0]
+    return None
 
 
 def _single_point(x: int, y: int) -> Segment:
@@ -249,13 +243,9 @@ def _fit_approximate(pts, gamma, bounds) -> Optional[Segment]:
     k_mid = (lo + hi) / 2.0
     if k_mid <= 0.0:
         return None
+    # an odd-LSB neighbour of a slope in (0, 1] decodes into (0, 1] too
     bits = quantize_slope(min(k_mid, 1.0), accurate=False)
     k = decode_slope(bits)
-    if k > 1.0 or k <= 0.0:
-        bits -= 2
-        if bits < 0:
-            return None
-        k = decode_slope(bits)
     # The cone corridor is centred half a page below each PPA so that the
     # ceil in predict() lands on the PPA itself rather than one past it.
     intercept = _f32(y0 - 0.5 - k * x0)

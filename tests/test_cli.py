@@ -176,6 +176,34 @@ class TestConfigHandling:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["dftl", "sftl"])
+    def test_page_below_one_map_entry_exits_2(self, capsys, kind):
+        argv = ["run", "--ftl", kind, "--synth", "mixed", "--count", "2000",
+                "--set", "channels=2", "--set", "blocks_per_channel=16",
+                "--set", "pages_per_block=32"]
+        rc, _ = run_main(capsys, argv + ["--set", "page_size=4"])
+        assert rc == 2
+        rc, _ = run_main(capsys, argv + ["--set", "page_size=8"])
+        assert rc == 0
+
+    @pytest.mark.parametrize(
+        "flag,bad,edge",
+        [
+            ("--crash-at", ["0", "-1"], "1"),
+            ("--force-gc-every", ["0", "-500"], "1"),
+            ("--warmup-writes", ["-3"], "0"),
+            ("--read-ratio", ["2", "-1", "nan"], "1"),
+            ("--theta", ["nan", "inf", "-inf"], "0"),
+        ],
+    )
+    def test_flag_out_of_range_exits_2(self, capsys, flag, bad, edge):
+        argv = ["run", "--ftl", "dftl", "--synth", "zipf", "--count", "200"] + SMALL
+        for value in bad:
+            rc, _ = run_main(capsys, argv + [f"{flag}={value}"])
+            assert rc == 2, value
+        rc, _ = run_main(capsys, argv + [f"{flag}={edge}"])
+        assert rc == 0
+
     def test_leaftl_beyond_2_24_pages_exits_2(self, capsys):
         big = ["--set", "blocks_per_channel=65537", "--set", "pages_per_block=256",
                "--set", "buffer_bytes=1m", "--set", "oob_size=512"]

@@ -16,6 +16,13 @@ class TestDevice:
         conf2 = Config(2, 4, 8, 4096, oob_size=256, gamma=16)
         conf2.validate()  # (2*16+1)*4 = 132 <= 256
 
+    @pytest.mark.parametrize("page_size", [1, 4, 7])
+    def test_page_must_hold_one_map_entry(self, page_size):
+        # dftl and sftl pack page_size // 8 map entries into a translation page
+        with pytest.raises(ConfigError):
+            Config(2, 4, 8, page_size).validate()
+        Config(2, 4, 8, 8).validate()
+
     def test_page_counts(self):
         conf = Config(2, 4, 8, 4096, 256)
         assert conf.total_blocks == 8

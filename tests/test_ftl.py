@@ -2,6 +2,7 @@
 behavior: buffering, flush, WAF accounting, GC, wear leveling, group
 eviction, snapshot/recovery, and baseline memory shapes."""
 
+from collections import OrderedDict
 from unittest import mock
 
 import pytest
@@ -13,7 +14,7 @@ from ftlsim.baselines import Dftl, Sftl
 from ftlsim.config import Config, ConfigError
 from ftlsim.ftl import FtlBase, UnmappedRead
 from ftlsim.leaftl import LeaFtl
-from ftlsim.mapping import deserialize_group, serialize_group
+from ftlsim.mapping import GROUP_SIZE, deserialize_group, serialize_group
 from ftlsim.sim import build_ftl
 from ftlsim.workload import TraceEvent, synth
 
@@ -66,7 +67,7 @@ class TestEngine:
         for i in range(32):
             ftl.write(i, i)
         assert ftl.data_writes == 32
-        assert ftl.dev.flash_writes == 32
+        assert ftl.dev.op_seq == 1  # one block programmed
         assert len(ftl.buffer) == 0
 
     def test_read_after_write_returns_last_payload(self, kind):
@@ -198,7 +199,7 @@ class TestLeaFtlSpecifics:
     def test_sequential_flush_learns_one_segment_per_group(self):
         ftl = make("leaftl", pages_per_block=256, buffer_bytes=256 * 4096)
         fill(ftl, range(256))
-        assert ftl.table.groups[0].segment_count() == 1
+        assert ftl.table.groups[0].nsegs == 1
 
     def test_misprediction_charges_exactly_one_extra_read(self):
         ftl = make("leaftl", gamma=8, pages_per_block=8)
@@ -250,6 +251,28 @@ class TestLeaFtlSpecifics:
         assert len(ftl.gmd) > 0
         got, _ = ftl.read(3)  # evicted group still readable
         assert got == 3
+
+    @pytest.mark.parametrize("touch", ["lookup", "relocation"])
+    def test_lookup_protects_its_group_and_a_flush_does_not(self, touch):
+        """Three one-segment groups (24 bytes each) against a 48-byte
+        budget: the third evicts the least recently used one.  A read of
+        group 0 makes group 1 the victim; a relocation into group 0, which
+        maps a block without looking its LPAs up (as GC does), leaves
+        group 0 the victim."""
+        ftl = make("leaftl", dram_bytes=48)
+        lpas = list(range(32)) + list(range(GROUP_SIZE, GROUP_SIZE + 32))
+        committed = fill(ftl, lpas)
+        assert list(ftl.table.groups) == [0, 1]
+        assert ftl.table.total_bytes == 48
+        if touch == "lookup":
+            assert ftl.read(5)[0] == 5
+            victim = 1
+        else:
+            ftl._program_batch(committed[:32], ftl.dev.allocate_block())
+            victim = 0
+        fill(ftl, range(2 * GROUP_SIZE, 2 * GROUP_SIZE + 32))
+        assert list(ftl.gmd) == [victim]
+        assert list(ftl.table.groups) == [1 - victim, 2]
 
     def test_crash_right_after_snapshot_relearns_nothing(self):
         ftl = make("leaftl")
@@ -512,6 +535,77 @@ def test_group_reload_keeps_the_evicted_object(synth_kind, seed, gamma, dram, cr
     doc = sim.run("leaftl", conf, events, crash_at=crash_at)
     with mock.patch.dict(sim.FTL_KINDS, {"leaftl": _DecodingLeaFtl}):
         want = sim.run("leaftl", conf, events, crash_at=crash_at)
+    assert doc["counters"]["translation_reads"] > 0
+    assert sim.to_json(doc) == sim.to_json(want)
+
+
+class _SeparateLruLeaFtl(LeaFtl):
+    """Keeps the LRU order in an OrderedDict of its own beside the resident
+    table, as leaftl did before the table became its LRU.  It does not
+    rebuild that order on recovery, so it is compared without crashes."""
+
+    def __init__(self, device):
+        self._lru = OrderedDict()  # resident gid -> True, least recent first
+        super().__init__(device)
+
+    def _map_lookup(self, lpa):
+        gid = lpa // GROUP_SIZE
+        if gid in self._lru:
+            self._lru.move_to_end(gid)
+        elif gid in self.gmd:
+            self._require_group(gid)
+        else:
+            return None
+        return self.table.lookup(lpa)
+
+    def _require_group(self, gid):
+        if gid in self.table.groups:
+            return
+        group = self.gmd.pop(gid, None)
+        if group is not None:
+            self.table.add_group(gid, group)
+            self.translation_reads += 1
+            self.background_us += self.conf.read_us
+        self._lru[gid] = True
+
+    def evict_group(self, gid):
+        super().evict_group(gid)
+        self._lru.pop(gid, None)
+
+    def _enforce_dram(self):
+        budget = self.conf.dram_bytes
+        while self.table.total_bytes > budget and self._lru:
+            gid, _ = self._lru.popitem(last=False)
+            self.evict_group(gid)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    synth_kind=st.sampled_from(["zipf", "random"]),
+    seed=st.integers(0, 2**16),
+    gamma=st.sampled_from([0, 4, 16]),
+    dram=st.integers(100, 600),
+)
+def test_resident_table_order_is_the_lru(synth_kind, seed, gamma, dram):
+    """With a DRAM budget of a few hundred bytes, groups evict and reload
+    inside every flush; evicting from the front of the resident table gives
+    the same document as a separately kept LRU."""
+    conf = Config(
+        channels=2,
+        blocks_per_channel=32,
+        pages_per_block=32,
+        page_size=4096,
+        oob_size=256,
+        gamma=gamma,
+        dram_bytes=dram,
+        buffer_bytes=32 * 4096,
+        compaction_interval=1500,
+        snapshot_interval=2000,
+    )
+    events = synth(synth_kind, 3000, 2048, seed=seed, read_ratio=0.4)
+    doc = sim.run("leaftl", conf, events)
+    with mock.patch.dict(sim.FTL_KINDS, {"leaftl": _SeparateLruLeaFtl}):
+        want = sim.run("leaftl", conf, events)
     assert doc["counters"]["translation_reads"] > 0
     assert sim.to_json(doc) == sim.to_json(want)
 

@@ -258,7 +258,7 @@ class TestSerialization:
         # 2-byte level count + per level 2-byte segment count + 8B segments
         # + 2-byte CRB length + CRB payload
         expected = 2 + sum(2 + SEGMENT_BYTES * len(l.segs) for l in g.levels)
-        expected += 2 + g.crb_bytes()
+        expected += 2 + g.crb
         assert len(blob) == expected
 
 
@@ -458,3 +458,84 @@ def test_seg_update_matches_per_victim_reference(steps):
             group.seg_update(seg, level)
             reference_seg_update(ref, twin, level)
         assert group_state(group)[:3] == group_state(ref)[:3]
+
+
+class _ReferenceGroup(GroupTable):
+    """GroupTable with CRB deduplication and compaction masking as they
+    were before both went through GroupTable._mask_at."""
+
+    def _crb_dedup(self, new_seg):
+        new_off = set(new_seg.run)
+        for level in self.levels:
+            doomed = []
+            for i, seg in enumerate(level.segs):
+                run = seg.run
+                if run is None or seg is new_seg:
+                    continue
+                if not new_off.intersection(run):
+                    continue
+                kept = [o for o in run if o not in new_off]
+                self.crb -= len(run) - len(kept)
+                run[:] = kept
+                if not run:
+                    self.crb -= 1
+                    seg.length = -1
+                    doomed.append(seg)
+                else:
+                    seg.start = run[0]
+                    seg.length = run[-1] - run[0]
+                    level.starts[i] = seg.start
+            for seg in doomed:
+                level.remove(seg)
+            self.nsegs -= len(doomed)
+
+    def _mask_level(self, seg, level):
+        pos = bisect_right(level.starts, seg.end)
+        victims = []
+        i = pos - 1
+        while i >= 0 and level.segs[i].end >= seg.start:
+            victims.append(i)
+            i -= 1
+        for i in victims:
+            old = level.segs[i]
+            seg_merge(seg, old, self)
+            if old.length < 0:
+                del level.starts[i]
+                del level.segs[i]
+                self.nsegs -= 1
+            else:
+                level.starts[i] = old.start
+
+
+masking_steps = st.lists(
+    st.tuples(
+        st.sets(st.integers(0, GROUP_SIZE - 1), min_size=1, max_size=40),
+        st.sampled_from([1, 4, 8, 16]),  # gamma > 0: approximate runs
+        st.integers(0, 3),  # target level
+        st.booleans(),  # compact afterwards
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masking_steps)
+def test_masking_matches_the_reference(steps):
+    """CRB deduplication and compaction masking through _mask_at leave the
+    same group state, segment for segment and counter for counter, as the
+    hand-written loops they replaced."""
+    group, ref = GroupTable(), _ReferenceGroup()
+    ppa = 7000
+    for lpas, gamma, level, compact in steps:
+        pts = [(lpa, ppa + i) for i, lpa in enumerate(sorted(lpas))]
+        ppa += len(pts) + 5
+        for (_, seg), (_, twin) in zip(
+            learn_segments(pts, gamma), learn_segments(pts, gamma)
+        ):
+            group.seg_update(seg, level)
+            ref.seg_update(twin, level)
+        if compact:
+            group.seg_compact()
+            ref.seg_compact()
+        assert group_state(group) == group_state(ref)
