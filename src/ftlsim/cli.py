@@ -69,12 +69,20 @@ def _build_conf(args):
 
 
 # flag -> smallest value it accepts
-_FLAG_MINIMUM = {"pages": 1, "crash_at": 1, "force_gc_every": 1, "warmup_writes": 0}
+_FLAG_MINIMUM = {
+    "pages": 1,
+    "count": 0,
+    "stride": 1,
+    "crash_at": 1,
+    "force_gc_every": 1,
+    "warmup_writes": 0,
+}
 
 
 def _check_flags(args):
     """Reject flag values that would run as something else (a crash that
-    never fires, --force-gc-every -N as N, a read ratio outside [0, 1])."""
+    never fires, --force-gc-every -N as N, --stride 0 as a one-page
+    workload, a read ratio outside [0, 1])."""
     for flag, low in _FLAG_MINIMUM.items():
         value = getattr(args, flag, None)
         if value is not None and value < low:
@@ -142,27 +150,36 @@ def cmd_compare(args):
     _emit(sim.compare(args.ftls, conf, events), args)
 
 
-def cmd_learn_stats(args):
-    """Replay write batches through the learner only; no flash model."""
-    conf = _build_conf(args)
-    events = _load_events(args, conf)
-    logical = conf.logical_pages
+def _write_batches(events, logical, per_block):
+    """The sorted LPAs of each flush a run programs: a batch closes when it
+    holds per_block distinct LPAs, and the trailing partial batch is the
+    end-of-run forced flush."""
     batch: dict = {}
-    ppa = 0
-    seg_lengths: dict = {}
-    crb_sizes: dict = {}
-    accurate = approximate = 0
-    per_block = conf.pages_per_block
     for op, lpa in expand(events, logical):
         if op != "w":
             continue
         batch[lpa] = None
-        if len(batch) < per_block:
-            continue
-        pts = [(l, ppa + i) for i, l in enumerate(sorted(batch))]
-        batch.clear()
-        ppa += per_block
-        for _, seg in learn_segments(pts, conf.gamma):
+        if len(batch) == per_block:
+            yield sorted(batch)
+            batch.clear()
+    if batch:
+        yield sorted(batch)
+
+
+def cmd_learn_stats(args):
+    """Replay write batches through the learner only; no flash model."""
+    conf = _build_conf(args)
+    events = _load_events(args, conf)
+    ppa = 0
+    seg_lengths: dict = {}
+    crb_sizes: dict = {}
+    accurate = approximate = 0
+    for lpas in _write_batches(events, conf.logical_pages, conf.pages_per_block):
+        n = len(lpas)
+        pts = [(lpa, ppa + i) for i, lpa in enumerate(lpas)]
+        fitted = learn_segments(pts, conf.gamma, (ppa, ppa + n - 1))
+        ppa += n
+        for _, seg in fitted:
             seg_lengths[seg.length] = seg_lengths.get(seg.length, 0) + 1
             if seg.accurate:
                 accurate += 1

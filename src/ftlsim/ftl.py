@@ -2,13 +2,14 @@
 
 All mapping schemes share the same data path so that their flash placement
 is identical on identical traces (which makes write amplification directly
-comparable): host writes land in a DRAM buffer (last-writer-wins), a full
-block's worth is carved FIFO-by-arrival, sorted by LPA and programmed into
-one flash block.  Subclasses implement the mapping structure behind a few
-hooks: _map_insert and _map_lookup, _invalidate_old and _recovery_invalidate
-(how a host flush and a recovery replay find and invalidate each LPA's
-previous copy, per programmed block), _true_ppa resolution cost, and
-accounting (mapping_bytes, and mapping_dram_bytes for what is resident).
+comparable): host writes land in a DRAM buffer (last-writer-wins); when it
+holds a block's worth of LPAs, the whole buffer is sorted by LPA and
+programmed into one flash block.  Subclasses implement the mapping
+structure behind a few hooks: _map_insert and _map_lookup, _invalidate_old
+and _recovery_invalidate (how a host flush and a recovery replay find and
+invalidate each LPA's previous copy, per programmed block), _true_ppa
+resolution cost, and accounting (mapping_bytes, and mapping_dram_bytes for
+what is resident).
 
 Latency convention: a buffered write acks in zero time; flush, GC, wear
 leveling and translation traffic accumulate in background_us.  A host read
@@ -139,18 +140,15 @@ class FtlBase:
     # -- flush / placement ---------------------------------------------------
 
     def flush_block(self, force: bool = False):
-        """Carve one block's worth of buffered writes (FIFO by arrival),
-        sort by LPA and program them.  force=True drains a partial block."""
+        """Sort the buffered writes by LPA and program them into one block.
+        write flushes as soon as the buffer holds a block's worth, so the
+        buffer never holds more; force=True drains a partial block."""
         buf = self.buffer
-        n = min(len(buf), self.pages_per_block)
+        n = len(buf)
         if n == 0 or (n < self.pages_per_block and not force):
             return None
-        lpas = []
-        for lpa in buf:
-            lpas.append(lpa)
-            if len(lpas) == n:
-                break
-        entries = sorted((lpa, buf.pop(lpa)) for lpa in lpas)
+        entries = sorted(buf.items())
+        buf.clear()
         self._program_batch(entries)
         self.data_writes += n
         self._writes_since_compact += n

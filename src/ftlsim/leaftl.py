@@ -3,15 +3,18 @@ log-structured mapping table; mispredictions are corrected through the OOB
 reverse-mapping window of the predicted page.
 
 Group eviction: when the table outgrows its DRAM budget, least-recently-used
-groups are serialized to translation pages (modeled as a dedicated metadata
+groups are written to translation pages (modeled as a dedicated metadata
 region with counted latencies) and reloaded on demand through the global
 mapping directory (GMD).  The resident table is the LRU (table.groups, least
-recent first): a lookup moves its group to the end, and a flush appends the
-groups it creates or reloads but leaves the resident ones in place.  The GMD
-keeps each evicted group's object, whose blob is its current translation-page
-image: nothing updates an evicted group, and the encoding is lossless, so
-decoding the blob would rebuild the same object.  A reload is therefore
-charged one translation read but does not decode.
+recent first): a lookup moves its group to the end, and so does a host
+flush, which looks up each LPA's old copy to invalidate it; a flush also
+appends the groups it creates or reloads.  A GC or wear-levelling
+relocation maps its block without looking the LPAs up, so it leaves the
+resident groups in place.  The GMD keeps each evicted group's object:
+nothing updates an evicted group, and the encoding is lossless, so the
+object stands for its translation page.  An eviction is charged one
+translation write and a reload one translation read, but neither encodes
+nor decodes; a snapshot encodes the groups it persists.
 
 The encoding stores intercepts as binary32, which holds every integer only
 up to 2**24, and a single-point segment's intercept is its PPA.  So the
@@ -56,7 +59,7 @@ class LeaFtl(FtlBase):
                 f"the device has {pages}"
             )
         self.table = MappingTable()
-        self.gmd: dict = {}  # gid -> evicted GroupTable, its blob current
+        self.gmd: dict = {}  # gid -> evicted GroupTable
         self.snap = None
         super().__init__(device)
 
@@ -111,12 +114,11 @@ class LeaFtl(FtlBase):
         self.background_us += self.conf.read_us
 
     def evict_group(self, gid):
-        """Serialize one group to a translation page and drop it from DRAM;
-        the GMD keeps the group, whose blob is now that page's image."""
+        """Write one group to a translation page and drop it from DRAM; the
+        GMD keeps the group object, which stands for that page."""
         group = self.table.drop_group(gid)
         if group is None:
             return
-        serialize_group(group)
         self.gmd[gid] = group
         self.translation_writes += 1
         self.background_us += self.conf.write_us

@@ -24,8 +24,9 @@ memory non-comparable across gamma values.
 from __future__ import annotations
 
 import math
+import operator
 import struct
-from bisect import bisect_right
+from bisect import bisect_right, insort_right
 from collections import OrderedDict
 from typing import Iterable
 
@@ -35,6 +36,7 @@ SEGMENT_BYTES = 8
 GROUP_OVERHEAD_BYTES = 16
 
 _SEG_STRUCT = struct.Struct("<BBHf")
+_START = operator.attrgetter("start")
 
 
 def has_lpa(segment: Segment, offset: int) -> bool:
@@ -96,42 +98,26 @@ def seg_merge(new: Segment, old: Segment, group: "GroupTable") -> None:
         run[:] = kept
 
 
-class _Level:
-    __slots__ = ("starts", "segs")
-
-    def __init__(self):
-        self.starts = []
-        self.segs = []
-
-    def insert(self, seg):
-        pos = bisect_right(self.starts, seg.start)
-        self.starts.insert(pos, seg.start)
-        self.segs.insert(pos, seg)
-
-    def remove(self, seg):
-        pos = bisect_right(self.starts, seg.start) - 1
-        while pos >= 0 and self.segs[pos] is not seg:
-            pos -= 1
-        del self.starts[pos]
-        del self.segs[pos]
-
-    def overlaps(self, seg):
-        pos = bisect_right(self.starts, seg.end)
-        return pos > 0 and self.segs[pos - 1].end >= seg.start
+def _overlaps(level, seg):
+    """Whether a segment of the sorted level reaches into seg's range."""
+    pos = bisect_right(level, seg.end, key=_START)
+    return pos > 0 and level[pos - 1].end >= seg.start
 
 
 class GroupTable:
     """Mapping state of one 256-LPA group.
 
-    crb (the CRB byte count) and nsegs (the segment count over all levels)
-    are kept up to date by every update, so bytes() walks neither the runs
-    nor the levels.  blob is the serialized form the group was last
-    loaded from or written to; every update drops it, so a group that was
-    only read since then is not serialized again.  While blob is set, it
-    and the object stand for each other: the encoding is lossless for PPAs
-    below 2**24, so deserialize_group(blob) rebuilds this group field for
-    field, and a holder of a group nothing updates (leaftl's GMD) may keep
-    the object instead of decoding its blob.
+    levels is the stack of levels, newest first; each level is a list of
+    segments sorted by start whose ranges do not overlap.  crb (the CRB
+    byte count) and nsegs (the segment count over all levels) are kept up
+    to date by every update, so bytes() walks neither the runs nor the
+    levels.  blob is the serialized form the group was last loaded from or
+    encoded to for a snapshot; every update drops it, so a group that was
+    only read since then is not serialized again.  The encoding is lossless
+    for PPAs below 2**24: deserialize_group(serialize_group(group)) rebuilds
+    the group field for field, so a holder of a group nothing updates
+    (leaftl's GMD) keeps the object and encodes it only when it needs the
+    bytes.
     """
 
     __slots__ = ("levels", "cached_bytes", "crb", "nsegs", "blob")
@@ -148,10 +134,10 @@ class GroupTable:
     def lookup(self, offset: int):
         """Return (ppa, accurate, levels_probed) or None."""
         for li, level in enumerate(self.levels):
-            pos = bisect_right(level.starts, offset) - 1
+            pos = bisect_right(level, offset, key=_START) - 1
             if pos < 0:
                 continue
-            seg = level.segs[pos]
+            seg = level[pos]
             if offset > seg.start + seg.length:
                 continue
             if seg.run is not None:
@@ -164,7 +150,7 @@ class GroupTable:
         return None
 
     def crb_runs(self):
-        runs = [s.run for level in self.levels for s in level.segs if s.run is not None]
+        runs = [s.run for level in self.levels for s in level if s.run is not None]
         runs.sort(key=lambda r: r[0])
         return runs
 
@@ -184,21 +170,18 @@ class GroupTable:
             self._crb_dedup(seg)
             self.crb += len(seg.run) + 1
         while len(self.levels) <= level_idx:
-            self.levels.append(_Level())
+            self.levels.append([])
         level = self.levels[level_idx]
-        starts = level.starts
-        segs = level.segs
         # victims: segments starting inside seg's range, then the one before
         # it if that one reaches into the range; seg takes their place
-        pos = bisect_right(starts, seg.start)
-        j = bisect_right(starts, seg.end, pos)
-        victims = segs[pos:j]
+        pos = bisect_right(level, seg.start, key=_START)
+        j = bisect_right(level, seg.end, pos, key=_START)
+        victims = level[pos:j]
         lo = pos
-        if pos > 0 and segs[pos - 1].end >= seg.start:
+        if pos > 0 and level[pos - 1].end >= seg.start:
             lo = pos - 1
-            victims.append(segs[lo])
-        starts[lo:j] = (seg.start,)
-        segs[lo:j] = (seg,)
+            victims.append(level[lo])
+        level[lo:j] = (seg,)
         self.nsegs += 1
         for v in victims:
             seg_merge(seg, v, self)
@@ -208,29 +191,23 @@ class GroupTable:
             if v.start <= seg.end and v.end >= seg.start:
                 self._demote(v, level_idx + 1)
             else:
-                level.insert(v)
+                insort_right(level, v, key=_START)
 
     def _demote(self, seg, idx):
         if idx >= len(self.levels):
-            self.levels.append(_Level())
-            self.levels[idx].insert(seg)
-            return
-        level = self.levels[idx]
-        if level.overlaps(seg):
-            fresh_level = _Level()
-            fresh_level.insert(seg)
-            self.levels.insert(idx, fresh_level)
+            self.levels.append([seg])
+        elif _overlaps(self.levels[idx], seg):
+            self.levels.insert(idx, [seg])
         else:
-            level.insert(seg)
+            insort_right(self.levels[idx], seg, key=_START)
 
     def _crb_dedup(self, new_seg):
         """Mask new_seg's run out of every approximate segment whose run
         shares an offset with it."""
         new_off = set(new_seg.run)
         for level in self.levels:
-            segs = level.segs
-            for i in range(len(segs) - 1, -1, -1):
-                run = segs[i].run
+            for i in range(len(level) - 1, -1, -1):
+                run = level[i].run
                 if run is not None and not new_off.isdisjoint(run):
                     self._mask_at(new_seg, level, i)
 
@@ -246,41 +223,38 @@ class GroupTable:
         self.blob = None
         # Top-down masking: every upper segment shadows all lower levels.
         for i, upper in enumerate(self.levels):
-            for seg in upper.segs:
+            for seg in upper:
                 for lower in self.levels[i + 1 :]:
                     self._mask_level(seg, lower)
         # Promotion: lift segments to the highest level where nothing above
         # (down to their current level) overlaps their range.
         for i in range(1, len(self.levels)):
             level = self.levels[i]
-            for seg in list(level.segs):
+            for seg in list(level):
                 target = i
                 for j in range(i - 1, -1, -1):
-                    if self.levels[j].overlaps(seg):
+                    if _overlaps(self.levels[j], seg):
                         break
                     target = j
                 if target < i:
-                    level.remove(seg)
-                    self.levels[target].insert(seg)
-        self.levels = [lv for lv in self.levels if lv.segs]
+                    level.remove(seg)  # by identity: Segment has no __eq__
+                    insort_right(self.levels[target], seg, key=_START)
+        self.levels = [lv for lv in self.levels if lv]
 
     def _mask_level(self, seg, level):
-        i = bisect_right(level.starts, seg.end) - 1
-        while i >= 0 and level.segs[i].end >= seg.start:
+        i = bisect_right(level, seg.end, key=_START) - 1
+        while i >= 0 and level[i].end >= seg.start:
             self._mask_at(seg, level, i)
             i -= 1
 
     def _mask_at(self, seg, level, i):
-        """Mask seg's members out of level.segs[i]: drop it if none are
-        left, else refresh its start.  Indices below i do not move."""
-        old = level.segs[i]
+        """Mask seg's members out of level[i] and drop it if none are left.
+        Indices below i do not move."""
+        old = level[i]
         seg_merge(seg, old, self)
         if old.length < 0:
-            del level.starts[i]
-            del level.segs[i]
+            del level[i]
             self.nsegs -= 1
-        else:
-            level.starts[i] = old.start
 
 
 class MappingTable:
@@ -375,8 +349,8 @@ def serialize_group(group: GroupTable) -> bytes:
         return group.blob
     out = bytearray(struct.pack("<H", len(group.levels)))
     for level in group.levels:
-        out += struct.pack("<H", len(level.segs))
-        for s in level.segs:
+        out += struct.pack("<H", len(level))
+        for s in level:
             out += _SEG_STRUCT.pack(s.start, s.length, s.slope_bits, s.intercept)
     crb = bytearray()
     for run in group.crb_runs():
@@ -398,13 +372,10 @@ def deserialize_group(blob: bytes) -> GroupTable:
         (count,) = struct.unpack_from("<H", blob, pos)
         pos += 2
         end = pos + count * _SEG_STRUCT.size
-        level = _Level()
-        starts = level.starts
-        segs = level.segs
+        level = []
         for start, length, bits, intercept in _SEG_STRUCT.iter_unpack(view[pos:end]):
             seg = Segment(start, length, bits, decode_slope(bits), intercept)
-            starts.append(start)
-            segs.append(seg)
+            level.append(seg)
             if bits & 1:
                 approx[start] = seg
         pos = end

@@ -100,6 +100,17 @@ class TestLearnStats:
         assert doc["segments"] == doc["accurate"] + doc["approximate"]
         assert doc["segments"] > 0
 
+    @pytest.mark.parametrize("count,segments", [(100, 1), (300, 2)])
+    def test_trailing_partial_batch_is_fitted(self, capsys, count, segments):
+        """The default 256-page block: a run's end-of-run forced flush
+        programs the last partial batch, so the learner fits it too."""
+        rc, out = run_main(
+            capsys, ["learn-stats", "--synth", "sequential", "--count", str(count)]
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["segments"] == doc["accurate"] == segments
+
     def test_csv_output(self, capsys, tmp_path):
         csv_path = tmp_path / "s.csv"
         rc, _ = run_main(
@@ -194,6 +205,8 @@ class TestConfigHandling:
             ("--warmup-writes", ["-3"], "0"),
             ("--read-ratio", ["2", "-1", "nan"], "1"),
             ("--theta", ["nan", "inf", "-inf"], "0"),
+            ("--stride", ["0", "-2"], "1"),
+            ("--count", ["-5"], "0"),
         ],
     )
     def test_flag_out_of_range_exits_2(self, capsys, flag, bad, edge):

@@ -252,13 +252,14 @@ class TestLeaFtlSpecifics:
         got, _ = ftl.read(3)  # evicted group still readable
         assert got == 3
 
-    @pytest.mark.parametrize("touch", ["lookup", "relocation"])
+    @pytest.mark.parametrize("touch", ["lookup", "overwrite", "relocation"])
     def test_lookup_protects_its_group_and_a_flush_does_not(self, touch):
         """Three one-segment groups (24 bytes each) against a 48-byte
         budget: the third evicts the least recently used one.  A read of
-        group 0 makes group 1 the victim; a relocation into group 0, which
-        maps a block without looking its LPAs up (as GC does), leaves
-        group 0 the victim."""
+        group 0 makes group 1 the victim, and so does a host overwrite of
+        group 0, whose flush looks up each LPA's old copy to invalidate it;
+        a relocation into group 0, which maps a block without looking its
+        LPAs up (as GC does), leaves group 0 the victim."""
         ftl = make("leaftl", dram_bytes=48)
         lpas = list(range(32)) + list(range(GROUP_SIZE, GROUP_SIZE + 32))
         committed = fill(ftl, lpas)
@@ -266,6 +267,10 @@ class TestLeaFtlSpecifics:
         assert ftl.table.total_bytes == 48
         if touch == "lookup":
             assert ftl.read(5)[0] == 5
+            victim = 1
+        elif touch == "overwrite":
+            fill(ftl, range(32), payload_base=100)
+            assert list(ftl.table.groups) == [1, 0]
             victim = 1
         else:
             ftl._program_batch(committed[:32], ftl.dev.allocate_block())
@@ -492,17 +497,13 @@ def test_recovery_invalidation_matches_per_page_lookups(
 
 
 class _DecodingLeaFtl(LeaFtl):
-    """Reloads an evicted group by decoding its blob, as a device would
-    read the translation page back."""
+    """Reloads an evicted group by encoding and decoding it, as a device
+    would write the translation page and read it back."""
 
     def _require_group(self, gid):
-        assert all(group.blob is not None for group in self.gmd.values())
         group = self.gmd.get(gid)
         if group is not None:
-            blob = group.blob
-            group.blob = None
-            assert serialize_group(group) == blob  # the kept blob is current
-            self.gmd[gid] = deserialize_group(blob)
+            self.gmd[gid] = deserialize_group(serialize_group(group))
         super()._require_group(gid)
 
 
@@ -516,7 +517,7 @@ class _DecodingLeaFtl(LeaFtl):
 )
 def test_group_reload_keeps_the_evicted_object(synth_kind, seed, gamma, dram, crash):
     """A reload re-adds the evicted group object instead of decoding its
-    blob; with a DRAM budget of a few hundred bytes, groups evict and
+    encoding; with a DRAM budget of a few hundred bytes, groups evict and
     reload inside every flush, and the document equals that of decoding."""
     conf = Config(
         channels=2,
@@ -537,6 +538,29 @@ def test_group_reload_keeps_the_evicted_object(synth_kind, seed, gamma, dram, cr
         want = sim.run("leaftl", conf, events, crash_at=crash_at)
     assert doc["counters"]["translation_reads"] > 0
     assert sim.to_json(doc) == sim.to_json(want)
+
+
+def test_eviction_encodes_nothing():
+    """An evicted group stays an object in the GMD; with no snapshot taken,
+    nothing is ever encoded, however many groups evict and reload."""
+    conf = Config(
+        channels=2,
+        blocks_per_channel=32,
+        pages_per_block=32,
+        page_size=4096,
+        oob_size=256,
+        gamma=4,
+        dram_bytes=300,
+        buffer_bytes=32 * 4096,
+        snapshot_interval=10**9,
+        snapshot_on_gc=False,
+    )
+    events = synth("zipf", 3000, 2048, seed=1, read_ratio=0.4)
+    with mock.patch("ftlsim.leaftl.serialize_group", wraps=serialize_group) as spy:
+        doc = sim.run("leaftl", conf, events)
+    assert doc["counters"]["translation_writes"] > 0
+    assert doc["counters"]["translation_reads"] > 0
+    assert spy.call_count == 0
 
 
 class _SeparateLruLeaFtl(LeaFtl):

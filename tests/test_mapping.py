@@ -2,8 +2,9 @@
 ownership, merge masking, compaction equivalence, serialization, and
 memory accounting."""
 
+import math
 import random
-from bisect import bisect_right
+from bisect import bisect_right, insort_right
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from ftlsim.mapping import (
     GroupTable,
     MappingTable,
     Segment,
-    _Level,
+    _START,
     deserialize_group,
     get_bitmap,
     has_lpa,
@@ -40,7 +41,7 @@ class TestWalkthrough:
         insert_points(g, [(i, 1000 + i) for i in range(64)])
         insert_points(g, [(i, 3000 + i - 200) for i in range(200, 256)])
         assert len(g.levels) == 1
-        assert [s.start for s in g.levels[0].segs] == [0, 200]
+        assert [s.start for s in g.levels[0]] == [0, 200]
 
     def test_overlap_demotes_old_segment(self):
         g = GroupTable()
@@ -48,7 +49,7 @@ class TestWalkthrough:
         insert_points(g, [(i, 2000 + i - 16) for i in range(16, 32)])
         assert len(g.levels) == 2
         # old segment keeps its start but loses the overwritten members
-        old = g.levels[1].segs[0]
+        old = g.levels[1][0]
         assert old.start == 0 and old.end == 63
         ppa, accurate, level = g.lookup(50)
         assert ppa == 1050 and accurate and level == 2
@@ -77,7 +78,7 @@ class TestWalkthrough:
         insert_points(g, [(10, 200), (11, 201)], gamma=0)
         runs = sorted(g.crb_runs())
         assert runs == [[13, 15, 18]]
-        old = [s for lvl in g.levels for s in lvl.segs if not s.accurate]
+        old = [s for lvl in g.levels for s in lvl if not s.accurate]
         assert len(old) == 1 and old[0].start == 13
 
 
@@ -257,7 +258,7 @@ class TestSerialization:
         blob = serialize_group(g)
         # 2-byte level count + per level 2-byte segment count + 8B segments
         # + 2-byte CRB length + CRB payload
-        expected = 2 + sum(2 + SEGMENT_BYTES * len(l.segs) for l in g.levels)
+        expected = 2 + sum(2 + SEGMENT_BYTES * len(l) for l in g.levels)
         expected += 2 + g.crb
         assert len(blob) == expected
 
@@ -296,12 +297,28 @@ def test_get_bitmap_matches_per_offset_loop(seg, a, b):
     assert get_bitmap(seg, start, end) == want
 
 
+def linear_lookup(group, offset):
+    """GroupTable.lookup by a scan down the levels that tests membership
+    with has_lpa instead of bisecting."""
+    for li, level in enumerate(group.levels):
+        for seg in level:
+            if has_lpa(seg, offset):
+                ppa = math.ceil(seg.slope * offset + seg.intercept)
+                return ppa, seg.accurate, li + 1
+    return None
+
+
 def check_group_invariants(group):
-    segs = [s for level in group.levels for s in level.segs]
+    segs = [s for level in group.levels for s in level]
     runs = [s.run for s in segs if s.run is not None]
     assert group.crb == sum(len(run) + 1 for run in runs)
     assert group.nsegs == len(segs)
     assert group.cached_bytes == group.bytes()
+    for level in group.levels:
+        # sorted by start, and each range ends before the next one starts
+        assert all(a.end < b.start for a, b in zip(level, level[1:])), level
+    for off in range(GROUP_SIZE):
+        assert group.lookup(off) == linear_lookup(group, off), off
     blob = serialize_group(group)
     group.blob = None
     assert blob == serialize_group(group)
@@ -354,10 +371,7 @@ SEG_FIELDS = ("start", "length", "slope_bits", "slope", "intercept", "run", "ste
 
 def group_state(group):
     """Everything a group's behaviour depends on, as plain values."""
-    levels = [
-        (list(level.starts), [[getattr(s, f) for f in SEG_FIELDS] for s in level.segs])
-        for level in group.levels
-    ]
+    levels = [[[getattr(s, f) for f in SEG_FIELDS] for s in level] for level in group.levels]
     return levels, group.crb, group.nsegs, group.cached_bytes
 
 
@@ -405,19 +419,19 @@ def reference_seg_update(group, seg, level_idx=0):
         group._crb_dedup(seg)
         group.crb += len(seg.run) + 1
     while len(group.levels) <= level_idx:
-        group.levels.append(_Level())
+        group.levels.append([])
     level = group.levels[level_idx]
     victims = []
-    pos = bisect_right(level.starts, seg.start)
+    pos = bisect_right(level, seg.start, key=_START)
     j = pos
-    while j < len(level.segs) and level.segs[j].start <= seg.end:
-        victims.append(level.segs[j])
+    while j < len(level) and level[j].start <= seg.end:
+        victims.append(level[j])
         j += 1
-    if pos > 0 and level.segs[pos - 1].end >= seg.start:
-        victims.append(level.segs[pos - 1])
+    if pos > 0 and level[pos - 1].end >= seg.start:
+        victims.append(level[pos - 1])
     for v in victims:
         level.remove(v)
-    level.insert(seg)
+    insort_right(level, seg, key=_START)
     group.nsegs += 1
     for v in victims:
         seg_merge(seg, v, group)
@@ -427,7 +441,7 @@ def reference_seg_update(group, seg, level_idx=0):
         if v.start <= seg.end and v.end >= seg.start:
             group._demote(v, level_idx + 1)
         else:
-            level.insert(v)
+            insort_right(level, v, key=_START)
 
 
 update_steps = st.lists(
@@ -468,7 +482,7 @@ class _ReferenceGroup(GroupTable):
         new_off = set(new_seg.run)
         for level in self.levels:
             doomed = []
-            for i, seg in enumerate(level.segs):
+            for seg in level:
                 run = seg.run
                 if run is None or seg is new_seg:
                     continue
@@ -484,27 +498,23 @@ class _ReferenceGroup(GroupTable):
                 else:
                     seg.start = run[0]
                     seg.length = run[-1] - run[0]
-                    level.starts[i] = seg.start
             for seg in doomed:
                 level.remove(seg)
             self.nsegs -= len(doomed)
 
     def _mask_level(self, seg, level):
-        pos = bisect_right(level.starts, seg.end)
+        pos = bisect_right(level, seg.end, key=_START)
         victims = []
         i = pos - 1
-        while i >= 0 and level.segs[i].end >= seg.start:
+        while i >= 0 and level[i].end >= seg.start:
             victims.append(i)
             i -= 1
         for i in victims:
-            old = level.segs[i]
+            old = level[i]
             seg_merge(seg, old, self)
             if old.length < 0:
-                del level.starts[i]
-                del level.segs[i]
+                del level[i]
                 self.nsegs -= 1
-            else:
-                level.starts[i] = old.start
 
 
 masking_steps = st.lists(
