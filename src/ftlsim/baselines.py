@@ -16,6 +16,7 @@ change before and after mapping it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from itertools import repeat
 from operator import sub
 
@@ -30,22 +31,23 @@ class _TpageCachingFtl(FtlBase):
         conf = device.conf
         self.map: dict = {}  # lpa -> ppa, authoritative
         self.entries_per_tpage = conf.page_size // ENTRY_BYTES
-        self.tcache: dict = {}  # tvpn -> dirty flag, LRU via reinsertion
+        self.tcache: OrderedDict = OrderedDict()  # tvpn -> dirty, LRU first
         super().__init__(device)
         self.tcache_cap = max(1, conf.dram_bytes // conf.page_size)
 
     def _touch_tpage(self, tvpn, dirty):
         cache = self.tcache
-        prev = cache.pop(tvpn, None)
+        prev = cache.get(tvpn)
         if prev is None:
             # demand load from the translation region
             self.translation_reads += 1
             self.background_us += self.conf.read_us
             prev = False
+        else:
+            cache.move_to_end(tvpn)
         cache[tvpn] = prev or dirty
         if len(cache) > self.tcache_cap:
-            victim, was_dirty = next(iter(cache.items()))
-            del cache[victim]
+            _, was_dirty = cache.popitem(last=False)
             if was_dirty:
                 self.translation_writes += 1
                 self.background_us += self.conf.write_us
@@ -96,7 +98,7 @@ class _TpageCachingFtl(FtlBase):
 
     def _map_reset(self):
         self.map = {}
-        self.tcache = {}
+        self.tcache = OrderedDict()
 
     def mapping_dram_bytes(self) -> int:
         return len(self.tcache) * self.conf.page_size

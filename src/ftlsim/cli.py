@@ -3,8 +3,9 @@
 Subcommands:
   run           drive one FTL over a trace, print the metrics JSON
   compare       drive several FTLs over the same trace, print ratios
-  learn-stats   fit segments to a trace's flush batches without simulating
-                flash; print segment and conflict-buffer size distributions
+  learn-stats   feed a trace's writes through leaftl's flush path and print
+                the segment and conflict-buffer size distributions of the
+                table it ends with
 
 `run --crash-at N` injects a crash after N ops and recovers; with the oracle
 on (the default), every later read and a final scan of all written pages
@@ -20,11 +21,12 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 from . import sim
 from .config import ConfigError, build_config, parse_size
 from .flash import CapacityError
-from .plr import GROUP_SIZE, learn_segments
+from .plr import GROUP_SIZE
 from .workload import SYNTH_KINDS, TraceError, expand, parse_msr, synth
 
 
@@ -150,36 +152,22 @@ def cmd_compare(args):
     _emit(sim.compare(args.ftls, conf, events), args)
 
 
-def _write_batches(events, logical, per_block):
-    """The sorted LPAs of each flush a run programs: a batch closes when it
-    holds per_block distinct LPAs, and the trailing partial batch is the
-    end-of-run forced flush."""
-    batch: dict = {}
-    for op, lpa in expand(events, logical):
-        if op != "w":
-            continue
-        batch[lpa] = None
-        if len(batch) == per_block:
-            yield sorted(batch)
-            batch.clear()
-    if batch:
-        yield sorted(batch)
-
-
 def cmd_learn_stats(args):
-    """Replay write batches through the learner only; no flash model."""
+    """Feed the trace's writes through leaftl's flush path (reads skipped,
+    no oracle) and describe the segments its table holds at the end,
+    resident or in the GMD."""
     conf = _build_conf(args)
     events = _load_events(args, conf)
-    ppa = 0
+    ftl = sim.build_ftl("leaftl", conf)
+    for op, lpa in expand(events, conf.logical_pages):
+        if op == "w":
+            ftl.write(lpa, None)
+    ftl.flush_block(force=True)
     seg_lengths: dict = {}
     crb_sizes: dict = {}
     accurate = approximate = 0
-    for lpas in _write_batches(events, conf.logical_pages, conf.pages_per_block):
-        n = len(lpas)
-        pts = [(lpa, ppa + i) for i, lpa in enumerate(lpas)]
-        fitted = learn_segments(pts, conf.gamma, (ppa, ppa + n - 1))
-        ppa += n
-        for _, seg in fitted:
+    for group in chain(ftl.table.groups.values(), ftl.gmd.values()):
+        for seg in chain.from_iterable(group.levels):
             seg_lengths[seg.length] = seg_lengths.get(seg.length, 0) + 1
             if seg.accurate:
                 accurate += 1

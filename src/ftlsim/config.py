@@ -45,6 +45,8 @@ class Config:
     gamma: int = 0
     op_ratio: float = 0.20  # overprovisioning fraction of physical capacity
     dram_bytes: int = 1024**3
+    # sorted write buffer: flushes at this size rounded down to whole
+    # blocks; not part of dram_bytes, and a crash loses all of it
     buffer_bytes: int = 8 * 1024**2
     # policies
     compaction_interval: int = 1_000_000  # host writes between compactions

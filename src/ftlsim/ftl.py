@@ -3,10 +3,11 @@
 All mapping schemes share the same data path so that their flash placement
 is identical on identical traces (which makes write amplification directly
 comparable): host writes land in a DRAM buffer (last-writer-wins); when it
-holds a block's worth of LPAs, the whole buffer is sorted by LPA and
-programmed into one flash block.  Subclasses implement the mapping
-structure behind a few hooks: _map_insert and _map_lookup, _invalidate_old
-and _recovery_invalidate (how a host flush and a recovery replay find and
+holds buffer_bytes worth of LPAs, rounded down to whole blocks, the whole
+buffer is sorted by LPA and programmed in block-sized chunks, each into its
+own flash block.  Subclasses implement the mapping structure behind a few
+hooks: _map_insert and _map_lookup, _invalidate_old and
+_recovery_invalidate (how a host flush and a recovery replay find and
 invalidate each LPA's previous copy, per programmed block), _true_ppa
 resolution cost, and accounting (mapping_bytes, and mapping_dram_bytes for
 what is resident).
@@ -33,8 +34,10 @@ class FtlBase:
     def __init__(self, device: FlashDevice):
         self.conf = conf = device.conf
         self.dev = device
-        self.pages_per_block = conf.pages_per_block
+        self.pages_per_block = per = conf.pages_per_block
         self.buffer: dict = {}  # lpa -> payload, insertion ordered
+        # pages the buffer holds before it flushes: whole blocks only
+        self.buffer_pages = conf.buffer_bytes // (conf.page_size * per) * per
         self.cache: OrderedDict = OrderedDict()  # read cache, LRU first
         self.cache_cap = 0
         # counters
@@ -95,7 +98,7 @@ class FtlBase:
         if self.cache:
             self.cache.pop(lpa, None)
         flushed = None
-        if len(self.buffer) >= self.pages_per_block:
+        if len(self.buffer) >= self.buffer_pages:
             flushed = self.flush_block()
         return 0.0, flushed
 
@@ -140,16 +143,19 @@ class FtlBase:
     # -- flush / placement ---------------------------------------------------
 
     def flush_block(self, force: bool = False):
-        """Sort the buffered writes by LPA and program them into one block.
-        write flushes as soon as the buffer holds a block's worth, so the
-        buffer never holds more; force=True drains a partial block."""
+        """Sort the buffered writes by LPA and program them in block-sized
+        chunks, each into its own block.  write flushes as soon as the buffer
+        holds buffer_pages, so the buffer never holds more; force=True
+        drains a partly filled buffer, whose last chunk is a partial block."""
         buf = self.buffer
         n = len(buf)
-        if n == 0 or (n < self.pages_per_block and not force):
+        if n == 0 or (n < self.buffer_pages and not force):
             return None
         entries = sorted(buf.items())
         buf.clear()
-        self._program_batch(entries)
+        per = self.pages_per_block
+        for i in range(0, n, per):
+            self._program_batch(entries[i : i + per])
         self.data_writes += n
         self._writes_since_compact += n
         if self._writes_since_compact >= self.conf.compaction_interval:

@@ -1,6 +1,8 @@
 """Command line tests: subcommands, config precedence, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,28 @@ SMALL = [
     "--set", "dram_bytes=1m",
     "--set", "snapshot_on_gc=false",
 ]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """The ftlsim commands of the README's CLI section, without `ftlsim`."""
+    section = README.read_text().split("## CLI", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ftlsim ")]
+
+
+def shrink(argv, count):
+    """Cut --count to count, and scale --crash-at and --force-gc-every with it."""
+    argv = list(argv)
+    scale = count / int(argv[argv.index("--count") + 1])
+    for flag in ("--count", "--crash-at", "--force-gc-every"):
+        if flag in argv:
+            i = argv.index(flag) + 1
+            argv[i] = str(max(1, round(int(argv[i]) * scale)))
+    return argv
 
 
 def run_main(capsys, argv):
@@ -122,6 +146,31 @@ class TestLearnStats:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "key,value"
         assert any(line.startswith("segments,") for line in lines)
+
+
+class TestReadmeExamples:
+    EXAMPLES = readme_examples()
+
+    def test_readme_has_four_examples(self):
+        assert [argv[0] for argv in self.EXAMPLES] == [
+            "run", "compare", "learn-stats", "run",
+        ]
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_example_runs_at_the_default_config(self, capsys, index):
+        """Each README example at the default config (an 8-block write
+        buffer) with a few thousand ops; run and compare keep the oracle
+        on, so every read and the final scan are checked."""
+        argv = shrink(self.EXAMPLES[index], 6000)
+        assert "--no-oracle" not in argv
+        rc, out = run_main(capsys, argv)
+        assert rc == 0
+        doc = json.loads(out)
+        if argv[0] == "learn-stats":
+            assert doc["segments"] > 0
+            return
+        for run_doc in doc.get("runs", {"": doc}).values():
+            assert run_doc["counters"]["data_writes"] > 0
 
 
 class TestConfigHandling:
