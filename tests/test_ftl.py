@@ -181,6 +181,20 @@ class TestEngine:
         assert ftl.wear_level() is None
         assert dev.allocate_worn_block() is None  # no fresh block was recycled
 
+    def test_identical_placement_across_schemes(self, kind):
+        # same trace -> same flash write count for every scheme
+        ftl = make(kind, channels=1, blocks_per_channel=16)
+        for i in range(2048):
+            ftl.write(i % 128, i)
+        ftl.flush_block(force=True)
+        c = ftl.counters()
+        assert (c["data_writes"], c["gc_writes"]) == (2048, c["gc_writes"])
+        if not hasattr(TestEngine, "_placement"):
+            TestEngine._placement = {}
+        TestEngine._placement[kind] = (c["flash_writes"], c["flash_erases"])
+        first = next(iter(TestEngine._placement.values()))
+        assert TestEngine._placement[kind] == first
+
 
 FOUR_BLOCKS = 4 * 32 * 4096  # a buffer of four 32-page blocks
 
