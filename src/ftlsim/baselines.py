@@ -10,15 +10,13 @@ Both update the map one programmed block at a time.  A block's entries are
 sorted by LPA, so each translation page is touched once per run of entries
 that share it, when the block is mapped and when a host flush or a recovery
 replay invalidates the entries' previous copies.  Sftl keeps its run count
-per programmed block too: it counts the joined LPA pairs the block can
-change before and after mapping it.
+in the same pass that maps the block: each entry's old PPA is read once, and
+an outside neighbour's PPA once at each edge of a run of consecutive LPAs.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import repeat
-from operator import sub
 
 from .config import ENTRY_BYTES
 from .ftl import FtlBase
@@ -121,27 +119,51 @@ class Sftl(_TpageCachingFtl):
         super().__init__(device)
 
     def _map_insert(self, entries, first_ppa):
-        """Keep _joins exact across the block: only pairs with a member in
-        the block can change, so count the joined ones among them before
-        and after the update.  Runs never span a translation page, as in
-        per-page extent encoding, so a pair across a page boundary is never
-        counted."""
+        """Map the block and keep _joins exact in the same pass.  Entries
+        must be sorted by LPA, strictly increasing, as every caller programs
+        them; they go to consecutive PPAs from first_ppa.  Only pairs with a
+        member in the block can change.  A pair with both members in the
+        block is joined after the update by construction, so only its old
+        PPAs are compared.  At a run edge the outside neighbour, which the
+        update leaves alone, is read once and compared with the old PPA and
+        the new one.  An unmapped LPA reads as -2, which never differs by
+        one from a PPA or from itself.  Runs never span a translation page,
+        as in per-page extent encoding, so a pair across a page boundary is
+        never counted.  Translation pages are touched as in
+        _TpageCachingFtl._map_insert."""
+        m = self.map
+        get = m.get
         per = self.entries_per_tpage
-        lpas = {lpa for lpa, _ in entries}
-        # pair (k, k+1) for k in the block or just before a block member
-        keys = [k for k in lpas.union([lpa - 1 for lpa in lpas]) if (k + 1) % per]
-        succ = [k + 1 for k in keys]
-        before = self._joined(keys, succ)
-        super()._map_insert(entries, first_ppa)
-        self._joins += self._joined(keys, succ) - before
-
-    def _joined(self, keys, succ):
-        """How many pairs (keys[i], succ[i]) map to consecutive PPAs.  A
-        missing key reads as -2 and a missing successor as -4, so a pair
-        with an unmapped member never differs by one."""
-        get = self.map.get
-        ppas = map(get, keys, repeat(-2))
-        return list(map(sub, map(get, succ, repeat(-4)), ppas)).count(1)
+        touch = self._touch_tpage
+        joins = self._joins
+        last_tvpn = -1
+        prev = prev_old = -2  # the previous entry's LPA and old PPA
+        for ppa, (lpa, _) in enumerate(entries, first_ppa):
+            old = get(lpa, -2)
+            m[lpa] = ppa
+            tvpn = lpa // per
+            if lpa - 1 == prev and tvpn == last_tvpn:
+                if old - prev_old != 1:
+                    joins += 1
+            else:
+                # prev + 1 and lpa - 1 are outside the block; prev went to
+                # ppa - 1, so its pair joins after the update if nb == ppa
+                if prev >= 0 and (prev + 1) % per:
+                    nb = get(prev + 1, -2)
+                    joins += (nb == ppa) - (nb - prev_old == 1)
+                if lpa % per:
+                    nb = get(lpa - 1, -2)
+                    joins += (ppa - nb == 1) - (old - nb == 1)
+                if tvpn != last_tvpn:
+                    last_tvpn = tvpn
+                    touch(tvpn, dirty=True)
+            prev = lpa
+            prev_old = old
+        # the last entry's right neighbour, outside the block
+        if prev >= 0 and (prev + 1) % per:
+            nb = get(prev + 1, -2)
+            joins += (nb - ppa == 1) - (nb - prev_old == 1)
+        self._joins = joins
 
     def _map_reset(self):
         super()._map_reset()

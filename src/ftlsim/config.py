@@ -71,6 +71,12 @@ class Config:
     def logical_pages(self) -> int:
         return int(self.total_pages * (1.0 - self.op_ratio))
 
+    @property
+    def buffer_pages(self) -> int:
+        """Pages the write buffer holds before it flushes: whole blocks."""
+        per = self.pages_per_block
+        return self.buffer_bytes // (self.page_size * per) * per
+
     def validate(self) -> "Config":
         for field in ("channels", "blocks_per_channel", "pages_per_block"):
             if getattr(self, field) <= 0:
@@ -94,6 +100,13 @@ class Config:
             raise ConfigError("dram_bytes must be >= 0")
         if self.buffer_bytes < self.pages_per_block * self.page_size:
             raise ConfigError("buffer_bytes smaller than one flash block")
+        # a buffer that holds more pages than the logical space never fills,
+        # so nothing would reach flash before a forced flush
+        if self.buffer_pages > self.logical_pages:
+            raise ConfigError(
+                f"buffer_bytes holds {self.buffer_pages} pages, more than the "
+                f"{self.logical_pages} logical pages"
+            )
         if not 0.0 < self.gc_low < self.gc_high <= 1.0:
             raise ConfigError("need 0 < gc_low < gc_high <= 1")
         if self.wear_threshold < 0:

@@ -34,10 +34,9 @@ class FtlBase:
     def __init__(self, device: FlashDevice):
         self.conf = conf = device.conf
         self.dev = device
-        self.pages_per_block = per = conf.pages_per_block
+        self.pages_per_block = conf.pages_per_block
         self.buffer: dict = {}  # lpa -> payload, insertion ordered
-        # pages the buffer holds before it flushes: whole blocks only
-        self.buffer_pages = conf.buffer_bytes // (conf.page_size * per) * per
+        self.buffer_pages = conf.buffer_pages
         self.cache: OrderedDict = OrderedDict()  # read cache, LRU first
         self.cache_cap = 0
         # counters

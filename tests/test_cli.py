@@ -241,10 +241,27 @@ class TestConfigHandling:
         argv = ["run", "--ftl", kind, "--synth", "mixed", "--count", "2000",
                 "--set", "channels=2", "--set", "blocks_per_channel=16",
                 "--set", "pages_per_block=32"]
-        rc, _ = run_main(capsys, argv + ["--set", "page_size=4"])
+        # each with a one-block buffer, so only page_size can be at fault
+        rc, _ = run_main(
+            capsys, argv + ["--set", "page_size=4", "--set", "buffer_bytes=128"]
+        )
         assert rc == 2
-        rc, _ = run_main(capsys, argv + ["--set", "page_size=8"])
+        rc, _ = run_main(
+            capsys, argv + ["--set", "page_size=8", "--set", "buffer_bytes=256"]
+        )
         assert rc == 0
+
+    def test_buffer_larger_than_logical_space_exits_2(self, capsys):
+        # the default 8 MB buffer is 2,048 pages; this device has 1,638
+        # logical pages, so the buffer would never fill and a crash would
+        # lose every write
+        argv = ["run", "--ftl", "dftl", "--synth", "zipf", "--count", "2000",
+                "--crash-at", "1500", "--set", "channels=1",
+                "--set", "blocks_per_channel=64", "--set", "pages_per_block=32"]
+        rc, _ = run_main(capsys, argv)
+        assert rc == 2
+        rc, out = run_main(capsys, argv + ["--set", "buffer_bytes=1m"])
+        assert rc == 0 and json.loads(out)["counters"]["blocks_relearned"] > 0
 
     @pytest.mark.parametrize(
         "flag,bad,edge",

@@ -15,6 +15,7 @@ def small_dev(gamma=4, channels=2, blocks=16, pages=8, oob=256, **kw):
         page_size=4096,
         oob_size=oob,
         gamma=gamma,
+        buffer_bytes=pages * 4096,  # one block
         **kw,
     )
     return FlashDevice(conf)

@@ -6,7 +6,7 @@ from collections import OrderedDict
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftlsim import sim
@@ -335,6 +335,38 @@ def test_identical_flash_across_schemes(trace, gamma):
     assert states["leaftl"] == states["dftl"] == states["sftl"]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    trace=st.sampled_from(["mixed", "zipf", "random"]),
+    gamma=st.sampled_from([0, 4, 16]),
+    wear=st.booleans(),
+    seed=st.integers(0, 2**16),
+    count=st.integers(300, 2500),
+    gc_at=st.floats(0.05, 1.0),
+    crash_at=st.floats(0.05, 1.0),
+)
+def test_random_traces_leave_identical_flash(
+    trace, gamma, wear, seed, count, gc_at, crash_at
+):
+    """The shared data path, checked on random small traces: with or without
+    wear levelling, through a forced GC and one crash between host ops, the
+    three schemes leave identical flash in every block."""
+    conf = Config(**{**CHURN, "wear_threshold": 2 if wear else 0}, gamma=gamma)
+    events = synth(trace, count, conf.logical_pages, seed=seed, read_ratio=0.3)
+    states = []
+    for kind in sorted(KINDS):
+        doc, ftl, _ = run_capturing(
+            kind,
+            conf,
+            events,
+            crash_at=max(1, int(count * crash_at)),
+            force_gc_every=max(1, int(count * gc_at)),
+        )
+        assert doc["crashes"] == 1 and doc["counters"]["gc_invocations"] > 0
+        states.append(device_state(ftl.dev))
+    assert states[0] == states[1] == states[2]
+
+
 class TestLeaFtlSpecifics:
     def test_sequential_flush_learns_one_segment_per_group(self):
         ftl = make("leaftl", pages_per_block=256, buffer_bytes=256 * 4096)
@@ -530,12 +562,22 @@ sftl_steps = st.lists(
 )
 
 
+# A full first block {0..30, 40} ends at PPA 31 and the next block starts at
+# PPA 32 with LPA 41, on the same translation page: the join (40, 41) spans
+# two blocks.  Moving 40 again later breaks it at the new block's last entry.
+CROSS_BLOCK = [("flush", set(range(31)) | {40}), ("flush", {41, 42, 60})]
+
+
 @settings(max_examples=150, deadline=None)
 @given(sftl_steps)
+@example(CROSS_BLOCK)
+@example(CROSS_BLOCK + [("relocate", {40}), ("crash", {0})])
+@example(CROSS_BLOCK + [("flush", {39, 40}), ("flush", {41})])
 def test_sftl_join_count_matches_a_full_walk(steps):
-    """Sftl counts its joined pairs per programmed block; after every host
-    flush, relocation or crash and recovery the count equals a walk of the
-    whole map, so mapping_bytes is 8 bytes per extent run."""
+    """Sftl counts its joined pairs in one pass over each programmed block;
+    after every host flush, relocation or crash and recovery the count
+    equals a walk of the whole map, so mapping_bytes is 8 bytes per extent
+    run."""
     ftl = make("sftl", **TINY_TPAGES)
     per = ftl.entries_per_tpage
     payload = 0
