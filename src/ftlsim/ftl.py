@@ -206,7 +206,9 @@ class FtlBase:
 
     def _true_ppa(self, lpa):
         """Resolve the current physical page of lpa, paying for any flash
-        reads that resolution needs (OOB correction for learned mappings)."""
+        reads that resolution needs (OOB correction for learned mappings).
+        A mapped LPA the OOB window cannot find is a ModelViolation, as on
+        the read path: its old copy would stay valid."""
         res = self._map_lookup(lpa)
         if res is None:
             return None
@@ -217,7 +219,10 @@ class FtlBase:
         self.background_us += elapsed
         if got_lpa == lpa:
             return ppa
-        return self.dev.correct_misprediction(ppa, lpa)
+        true_ppa = self.dev.correct_misprediction(ppa, lpa)
+        if true_ppa is None:
+            raise ModelViolation(f"lpa {lpa} not within gamma of prediction {ppa}")
+        return true_ppa
 
     def _update_cache_cap(self):
         budget = self.conf.dram_bytes - self.mapping_dram_bytes()
@@ -232,26 +237,28 @@ class FtlBase:
 
     def run_gc(self, force: bool = False):
         """Collect until the free fraction reaches gc_high.  force=True
-        collects at least one victim regardless of the watermark."""
+        collects at least one victim regardless of the watermark.
+
+        A relocation invalidates nothing, so a block this pass fills holds
+        pages_per_block valid pages until the pass ends, and _pick_victim,
+        which skips full blocks, never picks it."""
         dev = self.dev
         if not force and dev.free_fraction() >= self.conf.gc_low:
             return
         self.gc_invocations += 1
         pages = self.pages_per_block
         staging = []  # survivors packed across victims into full blocks
-        packed = set()  # blocks written by this invocation; not victims
         while True:
-            victim = self._pick_victim(packed)
+            victim = self._pick_victim()
             if victim is None:
                 break
-            staging.extend(self._live_pages(victim))
+            live, self.background_us = dev.read_valid(victim, self.background_us)
+            staging.extend(live)
             self.background_us += dev.erase_block(victim)
             while len(staging) >= pages:
                 batch = sorted(staging[:pages])
                 del staging[:pages]
-                dest = dev.allocate_block()
-                self._program_batch(batch, dest)
-                packed.add(dest)
+                self._program_batch(batch, dev.allocate_block())
             if dev.free_fraction() >= self.conf.gc_high:
                 break
         if staging:
@@ -260,35 +267,32 @@ class FtlBase:
         if self.conf.snapshot_on_gc:
             self.snapshot()
 
-    def _pick_victim(self, exclude=()):
+    def _pick_victim(self):
         best = None
         pages = self.pages_per_block
         for bid, blk in self.dev.programmed_blocks():
             vc = blk.valid_count
-            if vc < pages and bid not in exclude and (best is None or vc < best[0]):
+            if vc < pages and (best is None or vc < best[0]):
                 best = (vc, bid)
                 if vc == 0:
                     break
         return best[1] if best else None
 
-    def _live_pages(self, block_id: int):
-        """Read a block's valid pages as (lpa, payload) entries."""
-        entries, self.background_us = self.dev.read_valid(block_id, self.background_us)
-        return entries
-
     def wear_level(self):
         """Swap the coldest data into the most-worn free block when the
-        erase-count spread exceeds the configured threshold."""
+        erase-count spread exceeds the configured threshold.  Every block
+        is programmed sorted by LPA and read_valid keeps page order, so the
+        cold block's live pages move as they are."""
         threshold = self.conf.wear_threshold
         if not threshold:
             return None
         dev = self.dev
+        if dev.erase_spread() <= threshold:
+            return None
         counts = [(blk.erase_count, bid) for bid, blk in dev.programmed_blocks()]
         if not counts:
             return None
         cold_count, cold = min(counts)
-        if dev.erase_spread() <= threshold:
-            return None
         dest = dev.allocate_worn_block()
         if dest is None:
             return None
@@ -296,7 +300,7 @@ class FtlBase:
             # nothing meaningfully hotter available; put it back
             dev.release_block(dest)
             return None
-        entries = sorted(self._live_pages(cold))
+        entries, self.background_us = dev.read_valid(cold, self.background_us)
         if entries:
             self._program_batch(entries, dest)
         else:

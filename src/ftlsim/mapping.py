@@ -111,23 +111,19 @@ class GroupTable:
     segments sorted by start whose ranges do not overlap.  crb (the CRB
     byte count) and nsegs (the segment count over all levels) are kept up
     to date by every update, so bytes() walks neither the runs nor the
-    levels.  blob is the serialized form the group was last loaded from or
-    encoded to for a snapshot; every update drops it, so a group that was
-    only read since then is not serialized again.  The encoding is lossless
-    for PPAs below 2**24: deserialize_group(serialize_group(group)) rebuilds
-    the group field for field, so a holder of a group nothing updates
-    (leaftl's GMD) keeps the object and encodes it only when it needs the
-    bytes.
+    levels.  The encoding is lossless for PPAs below 2**24:
+    deserialize_group(serialize_group(group)) rebuilds the group field for
+    field, so a holder of a group nothing updates (leaftl's GMD) keeps the
+    object and encodes it only when it needs the bytes, for a snapshot.
     """
 
-    __slots__ = ("levels", "cached_bytes", "crb", "nsegs", "blob")
+    __slots__ = ("levels", "cached_bytes", "crb", "nsegs")
 
     def __init__(self):
         self.levels = []
         self.cached_bytes = 0
         self.crb = 0
         self.nsegs = 0
-        self.blob = None
 
     # -- queries ----------------------------------------------------------
 
@@ -165,7 +161,6 @@ class GroupTable:
         The segment's CRB run, if any, is registered first: its offsets are
         removed from every other run of the group.
         """
-        self.blob = None
         if seg.run is not None:
             self._crb_dedup(seg)
             self.crb += len(seg.run) + 1
@@ -220,7 +215,6 @@ class GroupTable:
         is only promoted past levels that have no overlap with its range.
         Memory never increases (no segment or level is ever added).
         """
-        self.blob = None
         # Top-down masking: every upper segment shadows all lower levels.
         for i, upper in enumerate(self.levels):
             for seg in upper:
@@ -343,10 +337,7 @@ class MappingTable:
 
 
 def serialize_group(group: GroupTable) -> bytes:
-    """The group's serialized form; reuses group.blob when the group has not
-    changed since it was last loaded or serialized."""
-    if group.blob is not None:
-        return group.blob
+    """The group's serialized form."""
     out = bytearray(struct.pack("<H", len(group.levels)))
     for level in group.levels:
         out += struct.pack("<H", len(level))
@@ -358,8 +349,7 @@ def serialize_group(group: GroupTable) -> bytes:
         crb += bytes(run)
     out += struct.pack("<H", len(crb))
     out += crb
-    group.blob = bytes(out)
-    return group.blob
+    return bytes(out)
 
 
 def deserialize_group(blob: bytes) -> GroupTable:
@@ -391,6 +381,5 @@ def deserialize_group(blob: bytes) -> GroupTable:
         pos += n
         approx[run[0]].run = run
     group.crb = crb_len
-    group.blob = blob
     group.cached_bytes = group.bytes()
     return group

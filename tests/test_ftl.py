@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ftlsim import sim
 from ftlsim.baselines import Dftl, Sftl
 from ftlsim.config import Config, ConfigError
+from ftlsim.flash import ModelViolation
 from ftlsim.ftl import FtlBase, UnmappedRead
 from ftlsim.leaftl import LeaFtl
 from ftlsim.mapping import GROUP_SIZE, deserialize_group, serialize_group
@@ -350,7 +351,9 @@ def test_random_traces_leave_identical_flash(
 ):
     """The shared data path, checked on random small traces: with or without
     wear levelling, through a forced GC and one crash between host ops, the
-    three schemes leave identical flash in every block."""
+    three schemes leave identical flash in every block, and every block's
+    LPAs strictly increase (a flush, GC and wear levelling all program a
+    block sorted by LPA)."""
     conf = Config(**{**CHURN, "wear_threshold": 2 if wear else 0}, gamma=gamma)
     events = synth(trace, count, conf.logical_pages, seed=seed, read_ratio=0.3)
     states = []
@@ -363,8 +366,66 @@ def test_random_traces_leave_identical_flash(
             force_gc_every=max(1, int(count * gc_at)),
         )
         assert doc["crashes"] == 1 and doc["counters"]["gc_invocations"] > 0
+        for _, blk in ftl.dev.programmed_blocks():
+            assert all(a < b for a, b in zip(blk.lpas, blk.lpas[1:])), blk.lpas
         states.append(device_state(ftl.dev))
     assert states[0] == states[1] == states[2]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_gc_never_picks_a_block_it_filled(kind):
+    """A relocation invalidates nothing, so a block that a run_gc call
+    fills stays full until the call ends, and _pick_victim skips it: no
+    victim a call erases is a block the same call allocated earlier.
+    Recorded through forced GC, watermark GC, wear levelling and a crash."""
+    calls = []  # per run_gc call: ("alloc" | "victim", block id) in order
+    in_gc = False
+
+    def build(k, c):
+        ftl = build_ftl(k, c)
+        dev = ftl.dev
+        run_gc, allocate, erase = ftl.run_gc, dev.allocate_block, dev.erase_block
+
+        def recording_run_gc(force=False):
+            nonlocal in_gc
+            calls.append([])
+            in_gc = True
+            try:
+                return run_gc(force)
+            finally:
+                in_gc = False
+
+        def recording_allocate():
+            bid = allocate()
+            if in_gc:
+                calls[-1].append(("alloc", bid))
+            return bid
+
+        def recording_erase(bid):
+            if in_gc:
+                calls[-1].append(("victim", bid))
+            return erase(bid)
+
+        ftl.run_gc = recording_run_gc
+        dev.allocate_block, dev.erase_block = recording_allocate, recording_erase
+        return ftl
+
+    conf = Config(**CHURN, gamma=8)
+    events = synth("zipf", 6000, conf.logical_pages, seed=1, read_ratio=0.3)
+    with mock.patch.object(sim, "build_ftl", build):
+        doc = sim.run(kind, conf, events, crash_at=4000, force_gc_every=1500)
+    c = doc["counters"]
+    assert c["wear_swaps"] > 0 and c["gc_invocations"] == len(calls)
+    picked_after_a_fill = 0
+    for steps in calls:
+        allocated = set()
+        for what, bid in steps:
+            if what == "alloc":
+                allocated.add(bid)
+            else:
+                assert bid not in allocated, steps
+                picked_after_a_fill += bool(allocated)
+    assert picked_after_a_fill > 0
 
 
 class TestLeaFtlSpecifics:
@@ -389,6 +450,20 @@ class TestLeaFtlSpecifics:
                 assert charged == 1
         assert ftl.mispredictions > 0  # the batch above must mispredict
         assert ftl.extra_reads == ftl.mispredictions
+
+    def test_host_flush_raises_when_oob_correction_misses(self):
+        """A host flush resolves each old copy as a read does; when the OOB
+        window does not hold the LPA, it raises instead of leaving the old
+        copy valid for GC to relocate."""
+        ftl = make("leaftl", gamma=8, pages_per_block=8)
+        lpas = [0, 1, 2, 4, 6, 7, 9, 11]
+        fill(ftl, lpas)
+        dev = ftl.dev
+        predicted = {lpa: ftl.table.lookup(lpa)[0] for lpa in lpas}
+        assert any(dev.read_page(ppa)[0] != lpa for lpa, ppa in predicted.items())
+        with mock.patch.object(dev, "correct_misprediction", return_value=None):
+            with pytest.raises(ModelViolation, match="not within gamma"):
+                fill(ftl, lpas, payload_base=100)
 
     def test_evict_then_load_roundtrips(self):
         ftl = make("leaftl", gamma=4)
