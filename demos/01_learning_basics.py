@@ -5,7 +5,7 @@ consecutive inside the flash block.  The learner returns 8-byte segments;
 `gamma` is the allowed prediction error for approximate segments.
 """
 
-from ftlsim.plr import GROUP_SIZE, learn_segments
+from ftlsim.plr import GROUP_SIZE, learn_segments, members
 
 
 def show(title, pts, gamma):
@@ -14,9 +14,10 @@ def show(title, pts, gamma):
     print(f"  {len(pts)} pages -> {len(segs)} segment(s)")
     for gid, s in segs:
         # segments are group-relative: an accurate one's members are every
-        # stride-th offset, an approximate one lists them in its CRB run
+        # stride-th offset, an approximate one lists them in its CRB run;
+        # bm holds both kinds as a bitmap over the group's offsets
         kind = "accurate " if s.accurate else "approx.  "
-        offsets = s.run or range(s.start, s.end + 1, s.stride)
+        offsets = members(s.bm)
         base = gid * GROUP_SIZE
         print(
             f"  {kind} start={base + s.start:<6} len={s.length:<4} "

@@ -173,7 +173,7 @@ def cmd_learn_stats(args):
                 accurate += 1
             else:
                 approximate += 1
-                size = len(seg.run)
+                size = seg.bm.bit_count()
                 crb_sizes[size] = crb_sizes.get(size, 0) + 1
     total = accurate + approximate
     _emit(

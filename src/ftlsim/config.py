@@ -49,7 +49,9 @@ class Config:
     # blocks; not part of dram_bytes, and a crash loses all of it
     buffer_bytes: int = 8 * 1024**2
     # policies
-    compaction_interval: int = 1_000_000  # host writes between compactions
+    # pages programmed between compactions: host flushes plus GC and
+    # wear-levelling relocations (recovery replay programs none)
+    compaction_interval: int = 1_000_000
     snapshot_interval: int = 1_000_000  # host writes between snapshots
     snapshot_on_gc: bool = True
     gc_low: float = 0.15  # trigger GC below this free-block fraction

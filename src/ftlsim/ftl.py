@@ -29,6 +29,15 @@ class UnmappedRead(Exception):
 
 
 class FtlBase:
+    """The shared data path; a subclass supplies the mapping hooks.
+
+    Periodic work is counted in programmed pages.  compaction_interval
+    counts every page a host flush, GC or wear levelling programs, so a
+    relocation-heavy device compacts its mapping even when few host writes
+    arrive; a recovery replay programs nothing and counts nothing.
+    snapshot_interval counts host-flushed pages only.
+    """
+
     name = "base"
 
     def __init__(self, device: FlashDevice):
@@ -192,6 +201,7 @@ class FtlBase:
         self.background_us += elapsed
         if relocation:
             self.gc_writes += len(entries)
+            self._writes_since_compact += len(entries)
         else:
             self._invalidate_old(entries)
         self._map_insert(entries, first_ppa)

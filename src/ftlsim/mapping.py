@@ -7,12 +7,21 @@ out of older segments (seg_merge); a masked victim whose range still
 overlaps is demoted one level down, and a brand-new level is created
 directly beneath when the next level also conflicts.
 
-Approximate segments cannot decide membership from their slope, so each one
-owns a run of member offsets in the group's conflict-resolution buffer
-(CRB).  Offsets are unique across the whole group: inserting a fresh run
-removes its offsets from every other run, shifting the owning segment's
-start to its next surviving member (or marking it removable when none
-survive).
+Membership is one record per segment: bm, an int bitmap over the group's
+256 offsets (see plr.Segment).  Lookups test one bit of it, and masking,
+CRB deduplication and compaction are bitwise operations on it.  An
+accurate segment's members follow from its slope, so only its range is
+stored.  Approximate segments cannot decide membership from their slope,
+so each one's members are stored as a run in the group's
+conflict-resolution buffer (CRB).  Offsets are unique across the whole
+CRB: inserting a fresh run removes its offsets from every other run,
+shifting the owning segment's start to its next surviving member (or
+marking it removable when none survive).
+
+Compaction (GroupTable.seg_compact) masks every segment by the members of
+all levels above it in one top-down pass, which reaches the fixpoint of
+pairwise masking, then lifts segments into the highest level that does not
+conflict with them.
 
 Memory accounting: 8 bytes per segment + 1 byte per CRB offset + 1 byte per
 run + GROUP_OVERHEAD_BYTES of fixed bookkeeping per group.  The bookkeeping
@@ -30,7 +39,7 @@ from bisect import bisect_right, insort_right
 from collections import OrderedDict
 from typing import Iterable
 
-from .plr import GROUP_SIZE, Segment, decode_slope
+from .plr import GROUP_SIZE, Segment, decode_slope, members, progression
 
 SEGMENT_BYTES = 8
 GROUP_OVERHEAD_BYTES = 16
@@ -41,34 +50,7 @@ _START = operator.attrgetter("start")
 
 def has_lpa(segment: Segment, offset: int) -> bool:
     """Membership test for a group-relative offset."""
-    if offset < segment.start or offset > segment.end:
-        return False
-    if segment.length <= 0:
-        return offset == segment.start
-    if segment.run is not None:
-        return offset in segment.run
-    return (offset - segment.start) % segment.step == 0
-
-
-def get_bitmap(segment: Segment, start: int, end: int) -> int:
-    """Membership bitmap over [start, end]; bit i covers offset start+i."""
-    length = segment.length
-    if length < 0:
-        return 0
-    if segment.run is not None:
-        bm = 0
-        for off in segment.run:
-            if start <= off <= end:
-                bm |= 1 << (off - start)
-        return bm
-    # members start, start+step, ..., up to start+length: `count` bits spaced
-    # `step` apart, i.e. the repunit (2**(step*count) - 1) / (2**step - 1)
-    step = 1 if length == 0 else segment.step
-    count = length // step + 1
-    bm = ((1 << (step * count)) - 1) // ((1 << step) - 1)
-    shift = segment.start - start
-    bm = bm << shift if shift >= 0 else bm >> -shift
-    return bm & ((1 << (end - start + 1)) - 1)
+    return segment.bm >> offset & 1 == 1
 
 
 def seg_merge(new: Segment, old: Segment, group: "GroupTable") -> None:
@@ -78,24 +60,32 @@ def seg_merge(new: Segment, old: Segment, group: "GroupTable") -> None:
     surviving members are unchanged.  Offsets that leave old's CRB run are
     taken off group.crb.
     """
-    lo = min(new.start, old.start)
-    hi = max(new.end, old.end)
-    bm_old = get_bitmap(old, lo, hi) & ~get_bitmap(new, lo, hi)
-    run = old.run
-    if bm_old == 0:
-        if run is not None:
-            group.crb -= len(run) + 1
-            run.clear()
-        old.length = -1
-        return
-    first = (bm_old & -bm_old).bit_length() - 1
-    last = bm_old.bit_length() - 1
-    old.start = lo + first
-    old.length = last - first
-    if run is not None:
-        kept = [o for o in run if (bm_old >> (o - lo)) & 1]
-        group.crb -= len(run) - len(kept)
-        run[:] = kept
+    bm = old.bm
+    kept = bm & ~new.bm
+    if kept != bm:
+        _tighten(old, kept, group)
+
+
+def _tighten(seg: Segment, kept: int, group: "GroupTable") -> bool:
+    """Shrink seg to kept, a subset of its members: start and length span
+    the lowest and highest kept offset, and an accurate segment claims its
+    whole progression over that range again.  Returns False, with seg marked
+    removable, when nothing is kept."""
+    approximate = seg.slope_bits & 1
+    if approximate:
+        group.crb -= seg.bm.bit_count() - kept.bit_count()
+    if not kept:
+        if approximate:
+            group.crb -= 1
+        seg.bm = 0
+        seg.length = -1
+        return False
+    first = (kept & -kept).bit_length() - 1
+    last = kept.bit_length() - 1
+    seg.start = first
+    seg.length = last - first
+    seg.bm = kept if approximate else progression(first, last, seg.step)
+    return True
 
 
 def _overlaps(level, seg):
@@ -108,7 +98,9 @@ class GroupTable:
     """Mapping state of one 256-LPA group.
 
     levels is the stack of levels, newest first; each level is a list of
-    segments sorted by start whose ranges do not overlap.  crb (the CRB
+    segments sorted by start whose ranges do not overlap.  Each segment's
+    bm is its membership, so a lookup bisects each level for the one
+    segment whose range may hold the offset and tests one bit.  crb (the CRB
     byte count) and nsegs (the segment count over all levels) are kept up
     to date by every update, so bytes() walks neither the runs nor the
     levels.  The encoding is lossless for PPAs below 2**24:
@@ -134,19 +126,18 @@ class GroupTable:
             if pos < 0:
                 continue
             seg = level[pos]
-            if offset > seg.start + seg.length:
-                continue
-            if seg.run is not None:
-                if offset not in seg.run:
-                    continue
-            elif seg.length > 0 and (offset - seg.start) % seg.step:
+            if not seg.bm >> offset & 1:
                 continue
             ppa = math.ceil(seg.slope * offset + seg.intercept)
             return ppa, (seg.slope_bits & 1) == 0, li + 1
         return None
 
     def crb_runs(self):
-        runs = [s.run for level in self.levels for s in level if s.run is not None]
+        """The approximate segments' member lists, ascending by first
+        offset."""
+        runs = [
+            members(s.bm) for level in self.levels for s in level if s.slope_bits & 1
+        ]
         runs.sort(key=lambda r: r[0])
         return runs
 
@@ -161,9 +152,9 @@ class GroupTable:
         The segment's CRB run, if any, is registered first: its offsets are
         removed from every other run of the group.
         """
-        if seg.run is not None:
+        if seg.slope_bits & 1:
             self._crb_dedup(seg)
-            self.crb += len(seg.run) + 1
+            self.crb += seg.bm.bit_count() + 1
         while len(self.levels) <= level_idx:
             self.levels.append([])
         level = self.levels[level_idx]
@@ -199,29 +190,44 @@ class GroupTable:
     def _crb_dedup(self, new_seg):
         """Mask new_seg's run out of every approximate segment whose run
         shares an offset with it."""
-        new_off = set(new_seg.run)
+        bm = new_seg.bm
         for level in self.levels:
             for i in range(len(level) - 1, -1, -1):
-                run = level[i].run
-                if run is not None and not new_off.isdisjoint(run):
+                seg = level[i]
+                if seg.slope_bits & 1 and seg.bm & bm:
                     self._mask_at(new_seg, level, i)
 
     def seg_compact(self):
         """Mask shadowed members out of lower levels, then promote segments
         upward into the highest conflict-free level and drop emptied levels.
 
-        Lookups are identical before and after: masking only removes member
-        claims that an upper (newer) segment already answers, and a segment
-        is only promoted past levels that have no overlap with its range.
-        Memory never increases (no segment or level is ever added).
+        Masking is one top-down pass: claimed collects the members of every
+        level above, and each segment keeps only its members outside it
+        (tightened as in seg_merge).  That reaches the fixpoint of masking
+        each segment by every newer one, whatever the order, so a second
+        compaction changes nothing.  Lookups are identical before and
+        after: masking only removes member claims that an upper (newer)
+        segment already answers, and a segment is only promoted past levels
+        that have no overlap with its range.  Memory never increases (no
+        segment or level is ever added).
         """
-        # Top-down masking: every upper segment shadows all lower levels.
-        for i, upper in enumerate(self.levels):
-            for seg in upper:
-                for lower in self.levels[i + 1 :]:
-                    self._mask_level(seg, lower)
-        # Promotion: lift segments to the highest level where nothing above
-        # (down to their current level) overlaps their range.
+        claimed = 0
+        for level in self.levels:
+            level_bm = 0
+            for i in range(len(level) - 1, -1, -1):
+                seg = level[i]
+                bm = seg.bm
+                if bm & claimed and not _tighten(seg, bm & ~claimed, self):
+                    del level[i]
+                    self.nsegs -= 1
+                else:
+                    level_bm |= seg.bm
+            claimed |= level_bm
+        self._promote()
+
+    def _promote(self):
+        """Lift segments to the highest level where nothing above (down to
+        their current level) overlaps their range; drop emptied levels."""
         for i in range(1, len(self.levels)):
             level = self.levels[i]
             for seg in list(level):
@@ -234,12 +240,6 @@ class GroupTable:
                     level.remove(seg)  # by identity: Segment has no __eq__
                     insort_right(self.levels[target], seg, key=_START)
         self.levels = [lv for lv in self.levels if lv]
-
-    def _mask_level(self, seg, level):
-        i = bisect_right(level, seg.end, key=_START) - 1
-        while i >= 0 and level[i].end >= seg.start:
-            self._mask_at(seg, level, i)
-            i -= 1
 
     def _mask_at(self, seg, level, i):
         """Mask seg's members out of level[i] and drop it if none are left.
@@ -364,9 +364,14 @@ def deserialize_group(blob: bytes) -> GroupTable:
         end = pos + count * _SEG_STRUCT.size
         level = []
         for start, length, bits, intercept in _SEG_STRUCT.iter_unpack(view[pos:end]):
-            seg = Segment(start, length, bits, decode_slope(bits), intercept)
+            approximate = bits & 1
+            # an approximate segment's members come from the CRB below
+            seg = Segment(
+                start, length, bits, decode_slope(bits), intercept,
+                0 if approximate else None,
+            )
             level.append(seg)
-            if bits & 1:
+            if approximate:
                 approx[start] = seg
         pos = end
         group.levels.append(level)
@@ -377,9 +382,11 @@ def deserialize_group(blob: bytes) -> GroupTable:
     while pos < end:
         n = blob[pos] or 256
         pos += 1
-        run = list(blob[pos : pos + n])
+        bm = 0
+        for off in blob[pos : pos + n]:
+            bm |= 1 << off
+        approx[blob[pos]].bm = bm
         pos += n
-        approx[run[0]].run = run
     group.crb = crb_len
     group.cached_bytes = group.bytes()
     return group

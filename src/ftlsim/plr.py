@@ -25,6 +25,8 @@ import struct
 from functools import cache
 from typing import Optional, Sequence
 
+import numpy as np
+
 GROUP_SIZE = 256
 # Minimum members for the run-extraction phase.  Shorter runs are cheaper to
 # keep inside an approximate segment's CRB run (1 byte/member) than as an
@@ -78,30 +80,56 @@ def quantize_slope(slope: float, accurate: bool = True) -> int:
     return best[1]
 
 
+def progression(first: int, last: int, step: int) -> int:
+    """Bitmap of the offsets first, first + step, ..., last."""
+    return _repunit(step, (last - first) // step + 1) << first
+
+
+@cache
+def _repunit(step: int, count: int) -> int:
+    # count bits spaced step apart: (2**(step*count) - 1) / (2**step - 1)
+    return ((1 << (step * count)) - 1) // ((1 << step) - 1)
+
+
+def members(bm: int) -> list:
+    """The offsets of a membership bitmap's set bits, ascending."""
+    out = []
+    while bm:
+        low = bm & -bm
+        out.append(low.bit_length() - 1)
+        bm ^= low
+    return out
+
+
 class Segment:
     """One learned segment of a 256-LPA group, in group-relative offsets.
 
-    Members run from start to start + length (0 for a single point); an
-    accurate segment's members are every stride-th offset, an approximate
-    one's are listed in its CRB run (``run[0] == start``).  slope is the
-    decoded binary16 value, intercept is binary32-rounded (a single point's
-    is its PPA, which binary32 holds exactly up to 2**24), in PPA units at
-    offset 0.  The mapping table tightens length as newer segments mask
-    members away; -1 marks a segment whose members are all masked.  step
-    is ceil(1/slope), computed once (1 for the zero slope of a single
-    point): the member spacing of an accurate segment longer than one point.
+    Members run from start to start + length (0 for a single point).  bm
+    is the membership bitmap over the group's offsets, bit o set when
+    offset o is a member: an accurate segment's members are every stride-th
+    offset of its range, an approximate one's are any subset that holds
+    both ends (its CRB run).  slope is the decoded binary16 value,
+    intercept is binary32-rounded (a single point's is its PPA, which
+    binary32 holds exactly up to 2**24), in PPA units at offset 0.  The
+    mapping table tightens start and length as newer segments mask members
+    away; -1 marks a segment whose members are all masked (bm 0).  step is
+    ceil(1/slope), computed once (1 for the zero slope of a single point):
+    the member spacing of an accurate segment longer than one point.  bm
+    defaults to the progression that start, length and step describe.
     """
 
-    __slots__ = ("start", "length", "slope_bits", "slope", "intercept", "run", "step")
+    __slots__ = ("start", "length", "slope_bits", "slope", "intercept", "bm", "step")
 
-    def __init__(self, start, length, slope_bits, slope, intercept, run=None):
+    def __init__(self, start, length, slope_bits, slope, intercept, bm=None):
         self.start = start
         self.length = length
         self.slope_bits = slope_bits
         self.slope = slope
         self.intercept = intercept
-        self.run = run
-        self.step = math.ceil(1.0 / slope) if slope else 1
+        self.step = step = math.ceil(1.0 / slope) if slope else 1
+        if bm is None:
+            bm = progression(start, start + length, step) if length >= 0 else 0
+        self.bm = bm
 
     @property
     def accurate(self):
@@ -231,7 +259,13 @@ def _fit_run(pts) -> Optional[Segment]:
     drift = span * k - span / stride
     if drift >= 0.9:
         return None
-    intercept = _f32(y0 - k * x0 - drift)
+    # Rounding the intercept up could undo the drift compensation and push
+    # the last member one page past its PPA, so take the largest binary32
+    # not above the exact value.
+    exact = y0 - k * x0 - drift
+    intercept = _f32(exact)
+    if intercept > exact:
+        intercept = float(np.nextafter(np.float32(intercept), np.float32(-np.inf)))
     if not _fits(k, intercept, pts, 0, None):
         return None
     return Segment(x0, span, bits, k, intercept)
@@ -251,7 +285,10 @@ def _fit_approximate(pts, gamma, bounds) -> Optional[Segment]:
     intercept = _f32(y0 - 0.5 - k * x0)
     if not _fits(k, intercept, pts, gamma, bounds):
         return None
-    return Segment(x0, pts[-1][0] - x0, bits, k, intercept, [x for x, _ in pts])
+    bm = 0
+    for x, _ in pts:
+        bm |= 1 << x
+    return Segment(x0, pts[-1][0] - x0, bits, k, intercept, bm)
 
 
 def _learn_stretch(pts, gamma, bounds, out) -> None:

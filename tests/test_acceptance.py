@@ -12,6 +12,7 @@ from ftlsim import sim
 from ftlsim.config import Config
 from ftlsim.mapping import GROUP_OVERHEAD_BYTES, SEGMENT_BYTES, MappingTable
 from ftlsim.plr import GROUP_SIZE, learn_segments
+from ftlsim.plr import members as bm_members
 from ftlsim.workload import TraceEvent, expand, synth
 
 
@@ -88,8 +89,8 @@ def test_criterion_01_gamma_bound_property():
         members = []
         for gid, seg in segs:
             # members as the stored encoding gives them to lookups
-            if seg.run is not None:
-                offsets = seg.run
+            if not seg.accurate:
+                offsets = bm_members(seg.bm)
             else:
                 offsets = range(seg.start, seg.end + 1, seg.stride)
             for off in offsets:

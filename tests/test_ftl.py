@@ -2,6 +2,7 @@
 behavior: buffering, flush, WAF accounting, GC, wear leveling, group
 eviction, snapshot/recovery, and baseline memory shapes."""
 
+import random
 from collections import OrderedDict
 from unittest import mock
 
@@ -131,6 +132,23 @@ class TestEngine:
         assert ftl.counters()["waf"] >= 1.0
         for lpa, want in live.items():
             assert ftl.read(lpa)[0] == want
+
+    def test_relocations_count_toward_compaction(self, kind):
+        # GC-heavy churn whose host writes stay below the interval
+        interval = 1500
+        ftl = make(
+            kind, gamma=4, channels=1, blocks_per_channel=16, compaction_interval=interval
+        )
+        rng = random.Random(3)
+        for i in range(1400):
+            ftl.write(rng.randrange(320), i)
+        assert ftl.host_writes < interval and ftl.gc_writes > 0
+        assert ftl.compactions == 1
+        # a recovery replay maps blocks again but moves no page
+        pending = ftl._writes_since_compact
+        ftl.crash()
+        ftl.recover()
+        assert ftl._writes_since_compact == pending
 
     def test_gc_of_fully_invalid_block_moves_nothing(self, kind):
         ftl = make(kind, channels=1, blocks_per_channel=8)

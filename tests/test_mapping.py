@@ -1,6 +1,7 @@
 """Log-structured mapping table tests: insert/demote walkthroughs, CRB
-ownership, merge masking, compaction equivalence, serialization, and
-memory accounting."""
+ownership, merge masking, membership bitmaps against a list-based
+reference, compaction equivalence and fixpoint, serialization, and memory
+accounting."""
 
 import math
 import random
@@ -18,16 +19,19 @@ from ftlsim.mapping import (
     Segment,
     _START,
     deserialize_group,
-    get_bitmap,
     has_lpa,
     seg_merge,
     serialize_group,
 )
-from ftlsim.plr import decode_slope, learn_segments, quantize_slope
+from ftlsim.plr import decode_slope, learn_segments, members, quantize_slope
 
 
 def fitted(points, gamma=0):
     return [seg for _, seg in learn_segments(points, gamma)]
+
+
+def bitmap(offsets):
+    return sum(1 << o for o in offsets)
 
 
 def insert_points(group, points, gamma=0):
@@ -97,22 +101,23 @@ class TestHasLpaAndBitmap:
 
     def test_bitmap_stride(self):
         seg = self.seg_half()
-        bm = get_bitmap(seg, 100, 106)
-        assert format(bm, "07b")[::-1] == "1010101"
+        assert seg.bm >> 100 << 100 == seg.bm
+        assert format(seg.bm >> 100, "07b")[::-1] == "1010101"
 
     def test_bitmap_disjoint_range(self):
         seg = self.seg_half()
-        assert get_bitmap(seg, 0, 50) == 0
+        assert seg.bm & ((1 << 51) - 1) == 0
 
     def test_approximate_membership_via_run(self):
-        seg = Segment(72, 8, quantize_slope(0.2, False) | 1, 0.2, 10.0, run=[72, 74, 80])
+        bits = quantize_slope(0.2, False) | 1
+        seg = Segment(72, 8, bits, 0.2, 10.0, bitmap([72, 74, 80]))
         assert has_lpa(seg, 72) and has_lpa(seg, 74) and has_lpa(seg, 80)
         assert not has_lpa(seg, 76)
-        bm = get_bitmap(seg, 72, 80)
-        assert format(bm, "09b")[::-1] == "101000001"
+        assert format(seg.bm >> 72, "09b")[::-1] == "101000001"
 
     def test_crb_run_membership(self):
-        seg = Segment(75, 7, quantize_slope(0.4, False) | 1, 0.4, 0.0, run=[75, 78, 80, 82])
+        bits = quantize_slope(0.4, False) | 1
+        seg = Segment(75, 7, bits, 0.4, 0.0, bitmap([75, 78, 80, 82]))
         assert not has_lpa(seg, 76)
         assert has_lpa(seg, 78)
 
@@ -265,36 +270,38 @@ class TestSerialization:
 
 @st.composite
 def segments(draw):
-    """A resident segment: accurate (strided, or a single point) or
-    approximate (with its CRB run), possibly already masked away."""
+    """A resident segment and its members as a list: accurate (strided, or
+    a single point) or approximate (with its CRB run), possibly already
+    masked away."""
     start = draw(st.integers(0, GROUP_SIZE - 1))
     if draw(st.booleans()):
         bits = quantize_slope(1.0 / draw(st.integers(1, 40)), True)
-        seg = Segment(start, 0, bits, decode_slope(bits), 0.0)
-        room = (GROUP_SIZE - 1 - start) // seg.stride
-        seg.length = seg.stride * draw(st.integers(0, room))
+        slope = decode_slope(bits)
+        stride = math.ceil(1.0 / slope)
+        length = stride * draw(st.integers(0, (GROUP_SIZE - 1 - start) // stride))
+        run = list(range(start, start + length + 1, stride))
+        seg = Segment(start, length, bits, slope, 0.0)
     else:
         offsets = st.integers(start, GROUP_SIZE - 1)
         run = sorted({start} | draw(st.sets(offsets, max_size=40)))
         bits = quantize_slope(0.3, False)
-        seg = Segment(start, run[-1] - start, bits, decode_slope(bits), 0.0, run)
+        seg = Segment(start, run[-1] - start, bits, decode_slope(bits), 0.0, bitmap(run))
     if draw(st.integers(0, 9)) == 0:
-        seg.length = -1
-    return seg
+        seg.length, seg.bm, run = -1, 0, []
+    return seg, run
 
 
 @settings(max_examples=400, deadline=None)
-@given(segments(), st.integers(0, GROUP_SIZE - 1), st.integers(0, GROUP_SIZE - 1))
-@example(Segment(10, 12, quantize_slope(0.25, True), 0.25, 0.0), 13, 18)
-@example(Segment(10, 12, quantize_slope(0.25, True), 0.25, 0.0), 0, 5)
-@example(Segment(10, 0, 0, 0.0, 0.0), 10, 10)
-def test_get_bitmap_matches_per_offset_loop(seg, a, b):
-    start, end = min(a, b), max(a, b)
-    want = 0
-    for off in range(start, end + 1):
-        if seg.length >= 0 and has_lpa(seg, off):
-            want |= 1 << (off - start)
-    assert get_bitmap(seg, start, end) == want
+@given(segments())
+@example((Segment(10, 12, quantize_slope(0.25, True), 0.25, 0.0), [10, 14, 18, 22]))
+@example((Segment(10, 0, 0, 0.0, 0.0), [10]))
+def test_bm_matches_per_offset_loop(drawn):
+    """A segment's bitmap holds exactly its listed members: an accurate
+    one's bm, built from start, length and slope, is its progression."""
+    seg, run = drawn
+    for off in range(GROUP_SIZE):
+        assert has_lpa(seg, off) == (off in run), off
+    assert members(seg.bm) == run
 
 
 def linear_lookup(group, offset):
@@ -310,8 +317,10 @@ def linear_lookup(group, offset):
 
 def check_group_invariants(group):
     segs = [s for level in group.levels for s in level]
-    runs = [s.run for s in segs if s.run is not None]
-    assert group.crb == sum(len(run) + 1 for run in runs)
+    assert group.crb == sum(s.bm.bit_count() + 1 for s in segs if not s.accurate)
+    for seg in segs:
+        # the bitmap spans exactly the segment's range
+        assert seg.bm >> seg.start & 1 and seg.bm.bit_length() - 1 == seg.end, seg
     assert group.nsegs == len(segs)
     assert group.cached_bytes == group.bytes()
     for level in group.levels:
@@ -363,7 +372,7 @@ def test_group_counters_and_blobs_stay_current(ops):
         assert t.total_bytes == sum(g.bytes() for g in t.groups.values())
 
 
-SEG_FIELDS = ("start", "length", "slope_bits", "slope", "intercept", "run", "step")
+SEG_FIELDS = ("start", "length", "slope_bits", "slope", "intercept", "bm", "step")
 
 
 def group_state(group):
@@ -411,9 +420,9 @@ def test_serialization_is_lossless(batches):
 def reference_seg_update(group, seg, level_idx=0):
     """GroupTable.seg_update as it was with a remove and an insert per
     victim: the reference for the one-slice replacement."""
-    if seg.run is not None:
+    if not seg.accurate:
         group._crb_dedup(seg)
-        group.crb += len(seg.run) + 1
+        group.crb += seg.bm.bit_count() + 1
     while len(group.levels) <= level_idx:
         group.levels.append([])
     level = group.levels[level_idx]
@@ -471,46 +480,32 @@ def test_seg_update_matches_per_victim_reference(steps):
 
 
 class _ReferenceGroup(GroupTable):
-    """GroupTable with CRB deduplication and compaction masking as they
-    were before both went through GroupTable._mask_at."""
+    """GroupTable with CRB deduplication as it was before it went through
+    GroupTable._mask_at."""
 
     def _crb_dedup(self, new_seg):
-        new_off = set(new_seg.run)
+        new_bm = new_seg.bm
         for level in self.levels:
             doomed = []
             for seg in level:
-                run = seg.run
-                if run is None or seg is new_seg:
+                if seg.accurate or seg is new_seg:
                     continue
-                if not new_off.intersection(run):
+                common = seg.bm & new_bm
+                if not common:
                     continue
-                kept = [o for o in run if o not in new_off]
-                self.crb -= len(run) - len(kept)
-                run[:] = kept
-                if not run:
+                self.crb -= common.bit_count()
+                seg.bm &= ~new_bm
+                if not seg.bm:
                     self.crb -= 1
                     seg.length = -1
                     doomed.append(seg)
                 else:
-                    seg.start = run[0]
-                    seg.length = run[-1] - run[0]
+                    kept = members(seg.bm)
+                    seg.start = kept[0]
+                    seg.length = kept[-1] - kept[0]
             for seg in doomed:
                 level.remove(seg)
             self.nsegs -= len(doomed)
-
-    def _mask_level(self, seg, level):
-        pos = bisect_right(level, seg.end, key=_START)
-        victims = []
-        i = pos - 1
-        while i >= 0 and level[i].end >= seg.start:
-            victims.append(i)
-            i -= 1
-        for i in victims:
-            old = level[i]
-            seg_merge(seg, old, self)
-            if old.length < 0:
-                del level[i]
-                self.nsegs -= 1
 
 
 masking_steps = st.lists(
@@ -518,7 +513,6 @@ masking_steps = st.lists(
         st.sets(st.integers(0, GROUP_SIZE - 1), min_size=1, max_size=40),
         st.sampled_from([1, 4, 8, 16]),  # gamma > 0: approximate runs
         st.integers(0, 3),  # target level
-        st.booleans(),  # compact afterwards
     ),
     min_size=1,
     max_size=30,
@@ -528,12 +522,12 @@ masking_steps = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(masking_steps)
 def test_masking_matches_the_reference(steps):
-    """CRB deduplication and compaction masking through _mask_at leave the
-    same group state, segment for segment and counter for counter, as the
-    hand-written loops they replaced."""
+    """CRB deduplication through _mask_at leaves the same group state,
+    segment for segment and counter for counter, as the hand-written loop
+    it replaced."""
     group, ref = GroupTable(), _ReferenceGroup()
     ppa = 7000
-    for lpas, gamma, level, compact in steps:
+    for lpas, gamma, level in steps:
         pts = [(lpa, ppa + i) for i, lpa in enumerate(sorted(lpas))]
         ppa += len(pts) + 5
         for (_, seg), (_, twin) in zip(
@@ -541,7 +535,241 @@ def test_masking_matches_the_reference(steps):
         ):
             group.seg_update(seg, level)
             ref.seg_update(twin, level)
-        if compact:
-            group.seg_compact()
-            ref.seg_compact()
         assert group_state(group) == group_state(ref)
+
+
+# -- the membership bitmaps against a list-based reference --------------------
+
+
+class ListSeg:
+    """A segment of ListGroup: its members are a sorted list of offsets."""
+
+    def __init__(self, seg, offsets):
+        self.approximate = not seg.accurate
+        self.step = seg.step
+        self.members = [o for o in offsets if seg.start <= o <= seg.end]
+        self.start, self.end = self.members[0], self.members[-1]
+
+    def overlaps(self, other):
+        return self.start <= other.end and other.start <= self.end
+
+    def keep(self, kept):
+        """Tighten to kept, a sublist of the members; False when empty."""
+        if not kept:
+            self.members = []
+            return False
+        self.start, self.end = kept[0], kept[-1]
+        if self.approximate:
+            self.members = kept
+        else:
+            self.members = list(range(kept[0], kept[-1] + 1, self.step))
+        return True
+
+    def mask(self, claimed):
+        return self.keep([o for o in self.members if o not in claimed])
+
+
+class ListGroup:
+    """GroupTable's update and compaction rules over per-offset member
+    lists, with no bitmaps and no bisection: the reference the bitmaps are
+    checked against.  Compaction masks each segment by the set of members
+    of every level above it."""
+
+    def __init__(self):
+        self.levels = []
+
+    def seg_update(self, seg, level_idx):
+        if seg.approximate:
+            gone = set(seg.members)
+            for level in self.levels:
+                level[:] = [
+                    s
+                    for s in level
+                    if not s.approximate or gone.isdisjoint(s.members) or s.mask(gone)
+                ]
+        while len(self.levels) <= level_idx:
+            self.levels.append([])
+        level = self.levels[level_idx]
+        # the victim order of GroupTable.seg_update: those starting inside
+        # seg's range, then the one before it that reaches into the range
+        inside = [s for s in level if seg.start < s.start <= seg.end]
+        before = [s for s in level if s.start <= seg.start <= s.end]
+        for v in inside + before:
+            level.remove(v)
+        self._insert(level, seg)
+        gone = set(seg.members)
+        for v in inside + before:
+            if not v.mask(gone):
+                continue
+            if v.overlaps(seg):
+                self._demote(v, level_idx + 1)
+            else:
+                self._insert(level, v)
+
+    @staticmethod
+    def _insert(level, seg):
+        level.append(seg)
+        level.sort(key=lambda s: s.start)
+
+    def _demote(self, seg, idx):
+        if idx >= len(self.levels):
+            self.levels.append([seg])
+        elif any(s.overlaps(seg) for s in self.levels[idx]):
+            self.levels.insert(idx, [seg])
+        else:
+            self._insert(self.levels[idx], seg)
+
+    def compact(self):
+        claimed = set()
+        for level in self.levels:
+            level[:] = [s for s in level if s.mask(claimed)]
+            for s in level:
+                claimed.update(s.members)
+        for i in range(1, len(self.levels)):
+            for seg in list(self.levels[i]):
+                target = i
+                for j in range(i - 1, -1, -1):
+                    if any(s.overlaps(seg) for s in self.levels[j]):
+                        break
+                    target = j
+                if target < i:
+                    self.levels[i].remove(seg)
+                    self._insert(self.levels[target], seg)
+        self.levels = [lv for lv in self.levels if lv]
+
+
+# a batch's group offsets: scattered, or a strided range that the learner
+# fits as one accurate segment whose middle later batches can mask
+offset_sets = st.one_of(
+    st.sets(st.integers(0, GROUP_SIZE - 1), min_size=1, max_size=40),
+    st.builds(
+        lambda first, count, stride: set(range(first, GROUP_SIZE, stride)[:count]),
+        st.integers(0, GROUP_SIZE - 1),
+        st.integers(1, 64),
+        st.integers(1, 5),
+    ),
+)
+
+table_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["seg_update", "seg_update", "compact", "reload"]),
+        offset_sets,
+        st.sampled_from([0, 0, 1, 4, 16]),
+        st.integers(0, 3),  # target level
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_steps)
+def test_bitmaps_match_a_list_reference(steps):
+    """After every seg_update, compaction and serialize/reload, the group
+    has the reference's levels, and each segment's bm, start and length
+    equal its reference segment's member list and bounds."""
+    group, ref = GroupTable(), ListGroup()
+    ppa = 3000
+    for op, lpas, gamma, level in steps:
+        if op == "compact":
+            group.seg_compact()
+            ref.compact()
+        elif op == "reload":
+            group = deserialize_group(serialize_group(group))
+        else:
+            offsets = sorted(lpas)
+            pts = [(lpa, ppa + i) for i, lpa in enumerate(offsets)]
+            ppa += len(pts) + 9
+            for _, seg in learn_segments(pts, gamma):
+                twin = ListSeg(seg, offsets)
+                group.seg_update(seg, level)
+                ref.seg_update(twin, level)
+        assert len(group.levels) == len(ref.levels)
+        for got, want in zip(group.levels, ref.levels):
+            assert [(s.start, s.end, s.bm) for s in got] == [
+                (s.start, s.end, bitmap(s.members)) for s in want
+            ]
+        assert group.crb == sum(
+            len(s.members) + 1 for level in ref.levels for s in level if s.approximate
+        )
+
+
+def pairwise_compact(group):
+    """seg_compact as it was before the one-pass mask: each segment of each
+    level masks the overlapping segments of every lower level, one pair at
+    a time, through seg_merge.  The result depends on the masking order and
+    is not always the fixpoint."""
+    for i, upper in enumerate(group.levels):
+        for seg in upper:
+            for lower in group.levels[i + 1 :]:
+                for j in range(len(lower) - 1, -1, -1):
+                    if lower[j].start <= seg.end and lower[j].end >= seg.start:
+                        group._mask_at(seg, lower, j)
+    group._promote()
+
+
+def lookups(group):
+    return [(group.lookup(off) or (None, None))[:2] for off in range(GROUP_SIZE)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(offset_sets, st.sampled_from([0, 0, 1, 4, 16]), st.integers(0, 3)),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_compaction_reaches_its_fixpoint(steps):
+    """Compaction keeps every lookup's PPA and accuracy, a second pass
+    changes nothing, and the table is never larger than the pairwise pass
+    leaves it."""
+    group = GroupTable()
+    ppa = 11000
+    for lpas, gamma, level in steps:
+        pts = [(lpa, ppa + i) for i, lpa in enumerate(sorted(lpas))]
+        ppa += len(pts) + 3
+        for _, seg in learn_segments(pts, gamma):
+            group.seg_update(seg, level)
+    pairwise = deserialize_group(serialize_group(group))
+    before = lookups(group)
+    group.seg_compact()
+    once = serialize_group(group)
+    assert lookups(group) == before
+    group.seg_compact()
+    assert serialize_group(group) == once
+    pairwise_compact(pairwise)
+    assert lookups(pairwise) == before
+    assert group.bytes() <= pairwise.bytes()
+
+
+def test_compaction_masks_a_member_out_of_the_middle():
+    """The order-dependent case of pairwise masking: level 1 holds
+    {203..207} at stride 1, and level 0 holds {199..203}, {204, 206} at
+    stride 2 and the approximate {207, 208, 209, 212}.  Masking one upper
+    segment at a time leaves 205..206; the fixpoint is {205} alone."""
+    one = quantize_slope(1.0, True)
+    half = quantize_slope(0.5, True)
+    apx = quantize_slope(0.3, False)
+
+    def build():
+        g = GroupTable()
+        g.levels = [
+            [
+                Segment(199, 4, one, 1.0, 0.0),
+                Segment(204, 2, half, 0.5, 0.0),
+                Segment(207, 5, apx, decode_slope(apx), 0.0, bitmap([207, 208, 209, 212])),
+            ],
+            [Segment(203, 4, one, 1.0, 100.0)],
+        ]
+        g.nsegs, g.crb = 4, 5
+        return g
+
+    group, pairwise = build(), build()
+    group.seg_compact()
+    pairwise_compact(pairwise)
+    ((low,),) = group.levels[1:]
+    assert (low.start, low.length, low.bm) == (205, 0, 1 << 205)
+    ((low,),) = pairwise.levels[1:]
+    assert (low.start, low.length) == (205, 1)
+    assert lookups(group) == lookups(pairwise)

@@ -11,19 +11,21 @@ from hypothesis import strategies as st
 
 from ftlsim.plr import (
     GROUP_SIZE,
+    _fit_run,
     _fits,
     _run_ends,
     decode_slope,
     learn_segments,
+    members,
     quantize_slope,
 )
 
 
 def encoded_members(seg):
     """Group offsets the segment's stored encoding claims, as lookups read
-    it: the CRB run if it has one, else every stride-th offset."""
-    if seg.run is not None:
-        return seg.run
+    it: the CRB run of an approximate segment, else every stride-th offset."""
+    if not seg.accurate:
+        return members(seg.bm)
     return range(seg.start, seg.end + 1, seg.stride)
 
 
@@ -47,7 +49,7 @@ def check_segments(pairs, points, gamma):
 
 def fields(pairs):
     return [
-        (gid, s.start, s.length, s.slope_bits, s.slope, s.intercept, s.run)
+        (gid, s.start, s.length, s.slope_bits, s.slope, s.intercept, s.bm)
         for gid, s in pairs
     ]
 
@@ -64,7 +66,7 @@ class TestExamples:
 
     def test_single_point(self):
         ((gid, seg),) = learn_segments([(7, 1000)], 0)
-        assert gid == 0 and seg.start == 7 and seg.run is None
+        assert gid == 0 and seg.start == 7 and seg.accurate and seg.bm == 1 << 7
         assert seg.length == 0
         assert seg.slope == 0.0
         assert seg.intercept == pytest.approx(1000, abs=1)
@@ -107,6 +109,14 @@ class TestExamples:
         ((_, seg),) = segs
         assert seg.accurate and seg.length == 255
         check_segments(segs, pts, 0)
+
+    def test_run_fit_survives_binary32_intercept_rounding(self):
+        # the nearest binary32 intercept lies above the exact one and would
+        # push the last member one page past its PPA
+        pts = [(0, 1000), (33, 1001)]
+        seg = _fit_run(pts)
+        assert seg is not None and seg.accurate
+        assert [seg.predict(x) for x, _ in pts] == [1000, 1001]
 
 
 class TestQuantizeSlope:
