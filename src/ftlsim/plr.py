@@ -192,7 +192,7 @@ def _accurate_slope_bits(stride: int) -> Optional[int]:
 
 
 def _single_point(x: int, y: int) -> Segment:
-    return Segment(x, 0, 0, 0.0, float(y))
+    return Segment(x, 0, 0, 0.0, float(y), 1 << x)
 
 
 def _run_ends(pts) -> list:
