@@ -25,8 +25,6 @@ import struct
 from functools import cache
 from typing import Optional, Sequence
 
-import numpy as np
-
 GROUP_SIZE = 256
 # Minimum members for the run-extraction phase.  Shorter runs are cheaper to
 # keep inside an approximate segment's CRB run (1 byte/member) than as an
@@ -44,11 +42,29 @@ ABSORB_PENALTY = 3
 _PACK_H = struct.Struct("<H")
 _PACK_E = struct.Struct("<e")
 _PACK_F = struct.Struct("<f")
+_PACK_I = struct.Struct("<i")
 
 
 def _f32(value: float) -> float:
     """Round to the nearest binary32, the storage precision of intercepts."""
     return _PACK_F.unpack(_PACK_F.pack(value))[0]
+
+
+def _f32_floor(value: float) -> float:
+    """The largest binary32 not above value."""
+    f = _f32(value)
+    if f <= value:
+        return f
+    # one binary32 step toward -inf: the bit pattern, read as a signed int,
+    # moves down for a positive f and up (in magnitude) for a negative one
+    bits = _PACK_I.unpack(_PACK_F.pack(f))[0]
+    if f > 0:
+        bits -= 1
+    elif f < 0:
+        bits += 1
+    else:
+        bits = -0x7FFFFFFF  # 0x80000001, the negative subnormal below zero
+    return _PACK_F.unpack(_PACK_I.pack(bits))[0]
 
 
 @cache
@@ -260,12 +276,8 @@ def _fit_run(pts) -> Optional[Segment]:
     if drift >= 0.9:
         return None
     # Rounding the intercept up could undo the drift compensation and push
-    # the last member one page past its PPA, so take the largest binary32
-    # not above the exact value.
-    exact = y0 - k * x0 - drift
-    intercept = _f32(exact)
-    if intercept > exact:
-        intercept = float(np.nextafter(np.float32(intercept), np.float32(-np.inf)))
+    # the last member one page past its PPA.
+    intercept = _f32_floor(y0 - k * x0 - drift)
     if not _fits(k, intercept, pts, 0, None):
         return None
     return Segment(x0, span, bits, k, intercept)

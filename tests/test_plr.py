@@ -5,12 +5,14 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftlsim.plr import (
     GROUP_SIZE,
+    _f32_floor,
     _fit_run,
     _fits,
     _run_ends,
@@ -117,6 +119,24 @@ class TestExamples:
         seg = _fit_run(pts)
         assert seg is not None and seg.accurate
         assert [seg.predict(x) for x, _ in pts] == [1000, 1001]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.floats(-(2.0**24), 2.0**25),
+        st.floats(-1e-30, 1e-30),
+        st.sampled_from([0.0, -0.0, 1e-46, -1e-46]),
+    )
+)
+def test_f32_floor_matches_numpy_nextafter(value):
+    """_f32_floor is the largest binary32 not above value: numpy's nearest
+    float32, stepped once toward -inf when it rounded up."""
+    want = np.float32(value)
+    if float(want) > value:  # compared in binary64, not in float32
+        want = np.nextafter(want, np.float32(-np.inf))
+    got = _f32_floor(value)
+    assert got == float(want) and math.copysign(1, got) == math.copysign(1, want)
 
 
 class TestQuantizeSlope:
