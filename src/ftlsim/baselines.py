@@ -94,6 +94,10 @@ class _TpageCachingFtl(FtlBase):
         self._touch_tpage(lpa // self.entries_per_tpage, dirty=False)
         return ppa, True, 1
 
+    def _map_peek(self, lpa):
+        ppa = self.map.get(lpa)
+        return None if ppa is None else (ppa, True)
+
     def _map_reset(self):
         self.map = {}
         self.tcache = OrderedDict()

@@ -204,7 +204,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="simulate one FTL over a trace")
     p.add_argument("--ftl", choices=sorted(sim.FTL_KINDS), default="leaftl")
-    p.add_argument("--no-oracle", action="store_true", help="skip data verification")
+    p.add_argument(
+        "--no-oracle",
+        action="store_true",
+        help="skip data verification (the result document is the same)",
+    )
     p.add_argument("--crash-at", type=int, help="inject a crash after N ops")
     p.add_argument("--force-gc-every", type=int, help="force GC every N ops")
     _add_common(p)

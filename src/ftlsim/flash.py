@@ -147,18 +147,24 @@ class FlashDevice:
         blk = self.blocks.get(ppa // self.conf.pages_per_block)
         return blk is not None and (ppa % self.conf.pages_per_block) < len(blk.lpas)
 
-    def read_page(self, ppa: int) -> tuple:
-        """Return (lpa, payload, elapsed_us); stale pages are readable."""
+    def peek_page(self, ppa: int) -> tuple:
+        """Return (lpa, payload) of a programmed page without charging a
+        read; stale pages are readable, unprogrammed ones a ModelViolation."""
         pages = self.conf.pages_per_block
-        bid = ppa // pages
-        blk = self.blocks.get(bid)
+        blk = self.blocks.get(ppa // pages)
         off = ppa % pages
         if blk is None or off >= len(blk.lpas):
             raise ModelViolation(f"read of unprogrammed page {ppa}")
+        return blk.lpas[off], blk.payloads[off]
+
+    def read_page(self, ppa: int) -> tuple:
+        """Return (lpa, payload, elapsed_us): peek_page, charged one read."""
+        lpa, payload = self.peek_page(ppa)
         self.flash_reads += 1
         elapsed = self.conf.read_us
+        bid = ppa // self.conf.pages_per_block
         self.channel_busy_us[self.channel_of(bid)] += elapsed
-        return blk.lpas[off], blk.payloads[off], elapsed
+        return lpa, payload, elapsed
 
     def read_valid(self, block_id: int, elapsed_us: float = 0.0) -> tuple:
         """Read every valid page of a block, in page order.

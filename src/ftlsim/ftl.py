@@ -6,7 +6,7 @@ comparable): host writes land in a DRAM buffer (last-writer-wins); when it
 holds buffer_bytes worth of LPAs, rounded down to whole blocks, the whole
 buffer is sorted by LPA and programmed in block-sized chunks, each into its
 own flash block.  Subclasses implement the mapping structure behind a few
-hooks: _map_insert and _map_lookup, _invalidate_old and
+hooks: _map_insert, _map_lookup and _map_peek, _invalidate_old and
 _recovery_invalidate (how a host flush and a recovery replay find and
 invalidate each LPA's previous copy, per programmed block), _true_ppa
 resolution cost, and accounting (mapping_bytes, and mapping_dram_bytes for
@@ -14,7 +14,9 @@ what is resident).
 
 Latency convention: a buffered write acks in zero time; flush, GC, wear
 leveling and translation traffic accumulate in background_us.  A host read
-pays for every flash read on its critical path.
+pays for every flash read on its critical path.  peek resolves an LPA as a
+read does but charges nothing and changes no state, so a check of the
+device's contents (sim.run's final oracle scan) leaves every counter alone.
 """
 
 from __future__ import annotations
@@ -82,7 +84,15 @@ class FtlBase:
         translation traffic to background_us."""
         raise NotImplementedError
 
+    def _map_peek(self, lpa):
+        """Return (ppa, exact) or None as _map_lookup would, but charge
+        nothing and leave every cache and recency order as it is."""
+        raise NotImplementedError
+
     def mapping_bytes(self) -> int:
+        raise NotImplementedError
+
+    def mapping_dram_bytes(self) -> int:
         raise NotImplementedError
 
     def _map_compact(self):
@@ -131,14 +141,8 @@ class FtlBase:
         self.lookup_levels[levels] = self.lookup_levels.get(levels, 0) + 1
         got_lpa, payload, elapsed = self.dev.read_page(ppa)
         if got_lpa != lpa:
-            if exact:
-                raise ModelViolation(
-                    f"exact mapping for lpa {lpa} pointed at lpa {got_lpa}"
-                )
+            true_ppa = self._correct(lpa, ppa, exact, got_lpa)
             self.mispredictions += 1
-            true_ppa = self.dev.correct_misprediction(ppa, lpa)
-            if true_ppa is None:
-                raise ModelViolation(f"lpa {lpa} not within gamma of prediction {ppa}")
             _, payload, el2 = self.dev.read_page(true_ppa)
             elapsed += el2
             self.extra_reads += 1
@@ -147,6 +151,38 @@ class FtlBase:
             if len(cache) > self.cache_cap:
                 cache.popitem(last=False)
         return payload, elapsed
+
+    def peek(self, lpa: int):
+        """Return lpa's payload as read would, from the write buffer or else
+        from flash, charging nothing and changing no state.  The read cache
+        is skipped, so a buffered LPA aside, the answer is the flash copy
+        the mapping resolves to.  Raises UnmappedRead and ModelViolation as
+        read does."""
+        buf = self.buffer
+        if lpa in buf:
+            return buf[lpa]
+        res = self._map_peek(lpa)
+        if res is None:
+            raise UnmappedRead(lpa)
+        ppa, exact = res
+        peek_page = self.dev.peek_page
+        got_lpa, payload = peek_page(ppa)
+        if got_lpa != lpa:
+            _, payload = peek_page(self._correct(lpa, ppa, exact, got_lpa))
+        return payload
+
+    def _correct(self, lpa, ppa, exact, got_lpa):
+        """The true PPA of lpa, whose mapping gave ppa, a page holding
+        got_lpa: found in ppa's OOB window, at no charge.  An exact mapping
+        that misses, or an LPA outside the window, is a ModelViolation."""
+        if exact:
+            raise ModelViolation(
+                f"exact mapping for lpa {lpa} pointed at lpa {got_lpa}"
+            )
+        true_ppa = self.dev.correct_misprediction(ppa, lpa)
+        if true_ppa is None:
+            raise ModelViolation(f"lpa {lpa} not within gamma of prediction {ppa}")
+        return true_ppa
 
     # -- flush / placement ---------------------------------------------------
 
@@ -229,10 +265,7 @@ class FtlBase:
         self.background_us += elapsed
         if got_lpa == lpa:
             return ppa
-        true_ppa = self.dev.correct_misprediction(ppa, lpa)
-        if true_ppa is None:
-            raise ModelViolation(f"lpa {lpa} not within gamma of prediction {ppa}")
-        return true_ppa
+        return self._correct(lpa, ppa, False, got_lpa)
 
     def _update_cache_cap(self):
         budget = self.conf.dram_bytes - self.mapping_dram_bytes()
@@ -435,6 +468,7 @@ class FtlBase:
             "erase_spread": self.dev.erase_spread(),
             "lookup_levels": {str(k): v for k, v in sorted(self.lookup_levels.items())},
             "mapping_bytes": self.mapping_bytes(),
+            "mapping_dram_bytes": self.mapping_dram_bytes(),
             "mapping_bytes_peak": max(self.mapping_bytes_peak, self.mapping_bytes()),
             "background_us": round(self.background_us, 3),
         }

@@ -82,13 +82,27 @@ class LeaFtl(FtlBase):
     def _map_lookup(self, lpa):
         gid = lpa // GROUP_SIZE
         groups = self.table.groups
-        if gid in groups:
+        group = groups.get(gid)
+        if group is not None:
             groups.move_to_end(gid)
-        elif gid in self.gmd:
-            self._require_group(gid)  # reloads it as the most recent
         else:
-            return None
-        return self.table.lookup(lpa)
+            group = self.gmd.get(gid)
+            if group is None:
+                return None
+            self._require_group(gid)  # reloads it as the most recent
+        return group.lookup(lpa % GROUP_SIZE)
+
+    def _map_peek(self, lpa):
+        """Look lpa up in its resident or evicted group: no LRU move, no
+        reload, no charge."""
+        gid = lpa // GROUP_SIZE
+        group = self.table.groups.get(gid)
+        if group is None:
+            group = self.gmd.get(gid)
+            if group is None:
+                return None
+        res = group.lookup(lpa % GROUP_SIZE)
+        return None if res is None else res[:2]
 
     def mapping_bytes(self) -> int:
         return self.table.total_bytes + GMD_ENTRY_BYTES * len(self.gmd)

@@ -79,11 +79,13 @@ def _tighten(seg: Segment, kept: int, group: "GroupTable") -> bool:
             group.crb -= 1
         seg.bm = 0
         seg.length = -1
+        seg.end = seg.start
         return False
     first = (kept & -kept).bit_length() - 1
     last = kept.bit_length() - 1
     seg.start = first
     seg.length = last - first
+    seg.end = last
     seg.bm = kept if approximate else progression(first, last, seg.step)
     return True
 

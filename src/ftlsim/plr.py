@@ -131,14 +131,20 @@ class Segment:
     away; -1 marks a segment whose members are all masked (bm 0).  step is
     ceil(1/slope), computed once (1 for the zero slope of a single point):
     the member spacing of an accurate segment longer than one point.  bm
-    defaults to the progression that start, length and step describe.
+    defaults to the progression that start, length and step describe.  end
+    is the last member's offset, kept beside start and length because level
+    bisection reads it on every update (start for a removed segment); a
+    writer of start or length sets it too.
     """
 
-    __slots__ = ("start", "length", "slope_bits", "slope", "intercept", "bm", "step")
+    __slots__ = (
+        "start", "length", "end", "slope_bits", "slope", "intercept", "bm", "step"
+    )
 
     def __init__(self, start, length, slope_bits, slope, intercept, bm=None):
         self.start = start
         self.length = length
+        self.end = start + length if length > 0 else start
         self.slope_bits = slope_bits
         self.slope = slope
         self.intercept = intercept
@@ -150,10 +156,6 @@ class Segment:
     @property
     def accurate(self):
         return (self.slope_bits & 1) == 0
-
-    @property
-    def end(self):
-        return self.start + (self.length if self.length > 0 else 0)
 
     @property
     def stride(self):

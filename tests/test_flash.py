@@ -53,6 +53,25 @@ class TestReadWrite:
         lpa, _, _ = dev.read_page(first)
         assert lpa == 5
 
+    def test_peek_page_is_an_uncharged_read(self):
+        dev = small_dev()
+        _, first, _ = program(dev, [10, 20, 30])
+        dev.invalidate_page(first)
+        busy = dev.channel_busy_us[:]
+        assert dev.peek_page(first) == (10, 0)
+        assert dev.peek_page(first + 2) == (30, 2)
+        assert dev.flash_reads == 0
+        assert dev.channel_busy_us == busy
+        assert dev.read_page(first + 2) == (30, 2, dev.conf.read_us)
+        assert dev.flash_reads == 1
+
+    def test_peeking_an_unprogrammed_page_violates_model(self):
+        dev = small_dev()
+        _, first, _ = program(dev, [1, 2])
+        for ppa in (first + 2, first + dev.conf.pages_per_block):
+            with pytest.raises(ModelViolation):
+                dev.peek_page(ppa)
+
 
 class TestOob:
     def test_correct_misprediction_within_gamma(self):

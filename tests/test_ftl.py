@@ -920,3 +920,53 @@ def test_leaftl_refuses_a_device_beyond_binary32_ppas():
     with pytest.raises(ConfigError, match="at most 16777216"):
         build_ftl("leaftl", big)
     build_ftl("dftl", big)  # the per-page baselines have no such limit
+
+
+def _observable_state(ftl):
+    """Everything a peek could move: the reported counters, the read cache,
+    and the translation caches (dftl/sftl's page LRU, leaftl's resident
+    groups in LRU order and its GMD)."""
+    state = [ftl.counters(), ftl.background_us, list(ftl.cache.items())]
+    if isinstance(ftl, LeaFtl):
+        state += [list(ftl.table.groups), sorted(ftl.gmd)]
+    else:
+        state.append(list(ftl.tcache.items()))
+    return state
+
+
+@pytest.mark.parametrize(
+    "kind, dram",
+    [
+        ("leaftl", 1 << 20),
+        ("dftl", 1 << 20),
+        ("sftl", 1 << 20),
+        ("leaftl", 4000),  # half the groups evicted to the GMD
+        ("dftl", 8192),  # a two-page translation cache
+    ],
+)
+def test_peek_resolves_every_lpa_and_moves_nothing(kind, dram):
+    ftl = make(kind, gamma=4, dram_bytes=dram)
+    rng = random.Random(3)
+    latest = {}
+    for i in range(3000):
+        lpa = rng.randrange(2048)
+        # reads reload evicted groups; the last 100 ops write, so a flush
+        # evicts again
+        if lpa in latest and i < 2900 and rng.random() < 0.4:
+            assert ftl.read(lpa)[0] == latest[lpa]
+        else:
+            ftl.write(lpa, i)
+            latest[lpa] = i
+    assert ftl.buffer
+    if dram == 4000:
+        assert ftl.gmd and len(ftl.table.groups) > 1
+    elif dram == 8192:
+        assert len(ftl.tcache) == 2
+    else:
+        assert ftl.cache
+    before = _observable_state(ftl)
+    for lpa, want in latest.items():
+        assert ftl.peek(lpa) == want
+    with pytest.raises(UnmappedRead):
+        ftl.peek(2048 + GROUP_SIZE)
+    assert _observable_state(ftl) == before

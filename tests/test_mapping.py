@@ -129,6 +129,7 @@ class TestSegMerge:
         new = fitted([(i, 500 + i) for i in range(32, 91)])[0]
         seg_merge(new, old, g)
         assert old.length == -1
+        assert old.end == old.start  # a removed segment ends where it starts
 
     def test_partial_mask_keeps_bounds(self):
         g = GroupTable()
@@ -372,7 +373,7 @@ def test_group_counters_and_blobs_stay_current(ops):
         assert t.total_bytes == sum(g.bytes() for g in t.groups.values())
 
 
-SEG_FIELDS = ("start", "length", "slope_bits", "slope", "intercept", "bm", "step")
+SEG_FIELDS = ("start", "length", "end", "slope_bits", "slope", "intercept", "bm", "step")
 
 
 def group_state(group):
@@ -498,11 +499,13 @@ class _ReferenceGroup(GroupTable):
                 if not seg.bm:
                     self.crb -= 1
                     seg.length = -1
+                    seg.end = seg.start
                     doomed.append(seg)
                 else:
                     kept = members(seg.bm)
                     seg.start = kept[0]
                     seg.length = kept[-1] - kept[0]
+                    seg.end = kept[-1]
             for seg in doomed:
                 level.remove(seg)
             self.nsegs -= len(doomed)

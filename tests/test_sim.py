@@ -1,11 +1,17 @@
 """Experiment runner tests: oracle checking, metrics shape, determinism,
 crash injection, and the compare report."""
 
+from unittest import mock
+
 import pytest
 
 from ftlsim import sim
 from ftlsim.config import Config
+from ftlsim.flash import ModelViolation
 from ftlsim.workload import TraceEvent, synth
+from record_golden_digests import FTLS, load_workloads
+
+WORKLOADS = load_workloads()
 
 
 def small_conf(**kw):
@@ -81,6 +87,74 @@ class TestRun:
         assert 0.0 <= c["misprediction_ratio"] <= 1.0
         assert 0.0 <= c["cache_hit_ratio"] <= 1.0
         assert c["extra_reads"] == c["mispredictions"]
+
+
+class TestOracle:
+    """The oracle's final scan peeks: it charges nothing, so it never
+    changes the document, and it still fails a run whose flash or mapping
+    is wrong."""
+
+    @pytest.mark.parametrize("kind", FTLS)
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_document_is_the_same_without_the_oracle(self, name, kind):
+        conf, events, kw = WORKLOADS[name].build(1, 6000)
+        on = sim.run(kind, conf, events, oracle=True, **kw)
+        off = sim.run(kind, conf, events, oracle=False, **kw)
+        assert sim.to_json(on) == sim.to_json(off)
+
+    @pytest.mark.parametrize("kind", FTLS)
+    def test_document_is_the_same_without_the_oracle_across_a_crash(self, kind):
+        events = synth("zipf", 12000, 3000, seed=4, read_ratio=0.4)
+        kw = dict(crash_at=7000, force_gc_every=4000)
+        on = sim.run(kind, small_conf(), events, oracle=True, **kw)
+        off = sim.run(kind, small_conf(), events, oracle=False, **kw)
+        assert on["crashes"] == 1
+        assert sim.to_json(on) == sim.to_json(off)
+
+    @staticmethod
+    def _run_corrupted(kind, corrupt):
+        """Fill 256 LPAs and read them all back, so the read cache holds
+        them, then let corrupt(ftl) damage the device after the final
+        flush, before the scan."""
+        cls = sim.FTL_KINDS[kind]
+
+        class Corrupted(cls):
+            def compact_mapping(self):
+                super().compact_mapping()
+                corrupt(self)
+
+        fill = synth("sequential", 256, 256)
+        back = [TraceEvent(e.timestamp_ns + 10**9, "r", e.lpa, 1) for e in fill]
+        with mock.patch.dict(sim.FTL_KINDS, {kind: Corrupted}):
+            sim.run(kind, small_conf(gamma=4), fill + back)
+
+    @pytest.mark.parametrize("kind", FTLS)
+    def test_a_flipped_payload_fails_the_scan(self, kind):
+        def flip_a_cached_page(ftl):
+            assert ftl.cache
+            for _, blk in ftl.dev.programmed_blocks():
+                for off, lpa in enumerate(blk.lpas):
+                    if blk.valid[off] and lpa in ftl.cache:
+                        blk.payloads[off] = -blk.payloads[off]
+                        return
+            raise AssertionError("no valid page of a cached lpa")
+
+        with pytest.raises(sim.OracleMismatch, match="final scan"):
+            self._run_corrupted(kind, flip_a_cached_page)
+
+    def test_an_exact_mapping_to_another_lpa_violates_the_model(self):
+        def swap(ftl):
+            ftl.map[3] = ftl.map[4]
+
+        with pytest.raises(ModelViolation, match="exact mapping for lpa 3"):
+            self._run_corrupted("dftl", swap)
+
+    def test_a_lost_mapping_fails_the_scan(self):
+        def drop(ftl):
+            del ftl.map[3]
+
+        with pytest.raises(sim.OracleMismatch, match="reported missing"):
+            self._run_corrupted("dftl", drop)
 
 
 class TestDeterminism:
