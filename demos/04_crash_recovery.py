@@ -32,7 +32,7 @@ print("ops replayed:        ", doc["ops"])
 print("crashes injected:    ", doc["crashes"])
 print("snapshots taken:     ", c["snapshots"])
 print("blocks relearned:    ", c["blocks_relearned"])
-print("OOB reads for replay:", c["recovery_reads"])
+print("recovery flash reads:", c["recovery_reads"])
 print()
 print("every post-crash read matched the shadow map (oracle on),")
 print("including a final scan of all live pages.")

@@ -8,10 +8,12 @@ so its DRAM cost is 8 bytes per run instead of 8 bytes per entry.
 
 Both update the map one programmed block at a time.  A block's entries are
 sorted by LPA, so each translation page is touched once per run of entries
-that share it, when the block is mapped and when a host flush or a recovery
-replay invalidates the entries' previous copies.  Sftl keeps its run count
-in the same pass that maps the block: each entry's old PPA is read once, and
-an outside neighbour's PPA once at each edge of a run of consecutive LPAs.
+that share it, when the block is mapped and when a host flush invalidates
+the entries' previous copies.  Neither keeps a snapshot, so a recovery
+replays every programmed block and finds each previous copy in its own OOB
+scan, with no map lookup.  Sftl keeps its run count in the same pass that
+maps the block: each entry's old PPA is read once, and an outside
+neighbour's PPA once at each edge of a run of consecutive LPAs.
 """
 
 from __future__ import annotations
@@ -82,10 +84,6 @@ class _TpageCachingFtl(FtlBase):
             if tvpn != last_tvpn:
                 last_tvpn = tvpn
                 self._touch_tpage(tvpn, dirty=False)
-
-    # every lookup is exact, so a replayed block's previous copies are found
-    # and charged as a host flush's are
-    _recovery_invalidate = _invalidate_old
 
     def _map_lookup(self, lpa):
         ppa = self.map.get(lpa)

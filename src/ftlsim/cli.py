@@ -11,8 +11,9 @@ Subcommands:
 on (the default), every later read and a final scan of all written pages
 must match the shadow map.
 
-Exit codes: 0 success, 2 configuration error, 3 oracle mismatch,
-4 device capacity exhausted.
+Exit codes: 0 success, 2 configuration error, 3 oracle mismatch or model
+violation (the FTL broke a physical rule of the device), 4 device capacity
+exhausted.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import chain
 
 from . import sim
 from .config import ConfigError, build_config, parse_size
-from .flash import CapacityError
+from .flash import CapacityError, ModelViolation
 from .plr import GROUP_SIZE
 from .workload import SYNTH_KINDS, TraceError, expand, parse_msr, synth
 
@@ -238,6 +239,9 @@ def main(argv=None) -> int:
         return 2
     except sim.OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
+        return 3
+    except ModelViolation as exc:
+        print(f"model violation: {exc}", file=sys.stderr)
         return 3
     except CapacityError as exc:
         print(f"capacity exhausted: {exc}", file=sys.stderr)

@@ -143,10 +143,6 @@ class FlashDevice:
         self.channel_busy_us[self.channel_of(block_id)] += elapsed
         return block_id * self.conf.pages_per_block, elapsed
 
-    def is_programmed(self, ppa: int) -> bool:
-        blk = self.blocks.get(ppa // self.conf.pages_per_block)
-        return blk is not None and (ppa % self.conf.pages_per_block) < len(blk.lpas)
-
     def peek_page(self, ppa: int) -> tuple:
         """Return (lpa, payload) of a programmed page without charging a
         read; stale pages are readable, unprogrammed ones a ModelViolation."""

@@ -6,11 +6,12 @@ comparable): host writes land in a DRAM buffer (last-writer-wins); when it
 holds buffer_bytes worth of LPAs, rounded down to whole blocks, the whole
 buffer is sorted by LPA and programmed in block-sized chunks, each into its
 own flash block.  Subclasses implement the mapping structure behind a few
-hooks: _map_insert, _map_lookup and _map_peek, _invalidate_old and
-_recovery_invalidate (how a host flush and a recovery replay find and
-invalidate each LPA's previous copy, per programmed block), _true_ppa
-resolution cost, and accounting (mapping_bytes, and mapping_dram_bytes for
-what is resident).
+hooks: _map_insert, _map_lookup and _map_peek, _invalidate_old (how a host
+flush finds and invalidates each LPA's previous copy, per programmed block),
+_true_ppa resolution cost, and accounting (mapping_bytes, and
+mapping_dram_bytes for what is resident).  A recovery replay needs no
+hook: it finds each previous copy in its own OOB scan or, through the
+snapshot mapping and _true_ppa, in a block the snapshot still describes.
 
 Latency convention: a buffered write acks in zero time; flush, GC, wear
 leveling and translation traffic accumulate in background_us.  A host read
@@ -60,7 +61,6 @@ class FtlBase:
         self.translation_reads = 0
         self.translation_writes = 0
         self.mispredictions = 0
-        self.extra_reads = 0
         self.gc_invocations = 0
         self.wear_swaps = 0
         self.compactions = 0
@@ -145,7 +145,6 @@ class FtlBase:
             self.mispredictions += 1
             _, payload, el2 = self.dev.read_page(true_ppa)
             elapsed += el2
-            self.extra_reads += 1
         if self.cache_cap:
             cache[lpa] = payload
             if len(cache) > self.cache_cap:
@@ -246,19 +245,16 @@ class FtlBase:
         """Invalidate the previous copy of each LPA of a host flush."""
         dev = self.dev
         for lpa, _ in entries:
-            old = self._true_ppa(lpa)
-            if old is not None:
-                dev.invalidate_page(old)
+            res = self._map_lookup(lpa)
+            if res is not None:
+                dev.invalidate_page(self._true_ppa(lpa, res[0], res[1]))
 
-    def _true_ppa(self, lpa):
-        """Resolve the current physical page of lpa, paying for any flash
-        reads that resolution needs (OOB correction for learned mappings).
-        A mapped LPA the OOB window cannot find is a ModelViolation, as on
-        the read path: its old copy would stay valid."""
-        res = self._map_lookup(lpa)
-        if res is None:
-            return None
-        ppa, exact, _ = res
+    def _true_ppa(self, lpa, ppa, exact):
+        """Resolve the physical page of lpa that its mapping, which gave ppa,
+        describes, paying for any flash reads that resolution needs (OOB
+        correction for learned mappings).  A mapped LPA the OOB window
+        cannot find is a ModelViolation, as on the read path: its old copy
+        would stay valid."""
         if exact:
             return ppa
         got_lpa, _, elapsed = self.dev.read_page(ppa)
@@ -377,56 +373,55 @@ class FtlBase:
     def recover(self):
         """Restore the last snapshot, then rebuild mapping and validity of
         every block programmed since (or never snapshotted) by replaying
-        flash in program order."""
+        flash in program order.  recovery_reads counts the device reads
+        made here: the replay's OOB scan and any old-copy resolution."""
+        reads_before = self.dev.flash_reads
         validity = self._restore_snapshot()
+        kept = set()  # blocks the snapshot still describes
         replay = []
         for bid, blk in self.dev.programmed_blocks():
             stored = validity.get(bid)
             if stored is not None and stored[0] == blk.program_seq:
                 blk.valid = stored[1][:]
                 blk.valid_count = sum(stored[1])
+                kept.add(bid)
             else:
                 replay.append((blk.program_seq, bid, blk))
         replay.sort()
+        replayed = {}  # lpa -> ppa of its newest copy replayed so far
         for _, bid, blk in replay:
-            self._replay_block(bid, blk)
+            self._replay_block(bid, blk, replayed, kept)
+        self.recovery_reads += self.dev.flash_reads - reads_before
         self._update_cache_cap()
 
-    def _replay_block(self, bid, blk):
-        """Re-apply one programmed block's mapping updates during recovery."""
-        base = bid * self.pages_per_block
-        n = len(blk.lpas)
-        self.recovery_reads += n
-        self.background_us += n * self.conf.read_us
-        entries = [(blk.lpas[i], blk.payloads[i]) for i in range(n)]
-        self._recovery_invalidate(entries)
+    def _replay_block(self, bid, blk, replayed, kept):
+        """Re-apply one programmed block's mapping updates during recovery,
+        reading each page's OOB reverse mapping.  An LPA's previous copy is
+        in a block replayed earlier, or, if the mapping points into a kept
+        block, where _true_ppa resolves it; a mapping into any other block
+        points at a copy erased since, and nothing is invalidated."""
+        dev = self.dev
+        read_page = dev.read_page
+        per = self.pages_per_block
+        base = bid * per
+        entries = []
+        for ppa in range(base, base + len(blk.lpas)):
+            lpa, payload, elapsed = read_page(ppa)
+            self.background_us += elapsed
+            old = replayed.get(lpa)
+            if old is None and kept:
+                res = self._map_lookup(lpa)
+                if res is not None and res[0] // per in kept:
+                    old = self._true_ppa(lpa, res[0], res[1])
+            if old is not None:
+                dev.invalidate_page(old)
+            replayed[lpa] = ppa
+            entries.append((lpa, payload))
+        n = len(entries)
         blk.valid = [True] * n
         blk.valid_count = n
         self._map_insert(entries, base)
         self.blocks_relearned += 1
-
-    def _recovery_invalidate(self, entries):
-        """Invalidate the previous copy of each LPA of a replayed block; a
-        learned mapping may point at an erased block or mispredict."""
-        for lpa, _ in entries:
-            old = self._recovery_old_ppa(lpa)
-            if old is not None:
-                self.dev.invalidate_page(old)
-
-    def _recovery_old_ppa(self, lpa):
-        res = self._map_lookup(lpa)
-        if res is None:
-            return None
-        ppa, exact, _ = res
-        if exact:
-            return ppa
-        if not self.dev.is_programmed(ppa):
-            return None  # stale mapping into an erased block; nothing to clear
-        got_lpa, _, _ = self.dev.read_page(ppa)
-        self.recovery_reads += 1
-        if got_lpa == lpa:
-            return ppa
-        return self.dev.correct_misprediction(ppa, lpa)
 
     # -- metrics ----------------------------------------------------------------
 
@@ -449,7 +444,7 @@ class FtlBase:
             "translation_writes": self.translation_writes,
             "waf": waf,
             "mispredictions": self.mispredictions,
-            "extra_reads": self.extra_reads,
+            "extra_reads": self.mispredictions,
             "misprediction_ratio": (
                 self.mispredictions / self.host_reads if self.host_reads else 0.0
             ),

@@ -4,10 +4,12 @@
 
 Runs every benchmark workload (bench/workloads.py) once per FTL for each
 seed in the inclusive range, with the oracle on, and stores the SHA-256 of
-`sim.to_json(doc)`.  Regenerate only with a change that alters simulated
-behaviour on purpose, and say in CHANGES.md which workload x FTL keys moved
-and why.  tests/test_golden_digests.py checks seeds 0 and 1 against the
-file.
+`sim.to_json(doc)`.  Before overwriting the file, it prints each
+workload/seed/FTL key whose digest differs from the file's (or that the
+file lacks), and how many stayed the same.  Regenerate only with a change
+that alters simulated behaviour on purpose, and say in CHANGES.md which
+keys moved and why.  tests/test_golden_digests.py checks seeds 0 and 1
+against the file.
 """
 
 from __future__ import annotations
@@ -53,6 +55,17 @@ def main(argv=None) -> int:
                 kind: digest(kind, conf, events, run_kw) for kind in FTLS
             }
             print(name, seed, flush=True)
+    previous = json.loads(REFERENCE.read_text()) if REFERENCE.exists() else {}
+    same = 0
+    for name, seeds in reference.items():
+        for seed, digests in seeds.items():
+            for kind, value in digests.items():
+                old = previous.get(name, {}).get(seed, {}).get(kind)
+                if old == value:
+                    same += 1
+                else:
+                    print("moved" if old else "new", name, seed, kind)
+    print(same, "unchanged")
     with open(REFERENCE, "w") as fh:
         json.dump(reference, fh, indent=1, sort_keys=True)
         fh.write("\n")

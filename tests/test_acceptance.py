@@ -159,7 +159,7 @@ def test_criterion_03_misprediction_cost():
         extra += corrective
         worst = max(worst, corrective)
     assert worst <= 1
-    assert extra == ftl.mispredictions == ftl.extra_reads
+    assert extra == ftl.mispredictions == ftl.counters()["extra_reads"]
     print(
         f"criterion 3 PASS: {ftl.mispredictions} mispredictions, "
         f"{extra} extra reads, worst per-read extra = {worst}"

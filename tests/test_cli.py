@@ -3,10 +3,12 @@
 import json
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from ftlsim.cli import main
+from ftlsim.flash import FlashDevice
 
 SMALL = [
     "--set", "channels=2",
@@ -311,3 +313,17 @@ class TestConfigHandling:
              "--set", "gc_high=0.02"],
         )
         assert rc == 4
+
+    def test_model_violation_exits_3(self, capsys):
+        """An OOB window that never holds the mispredicted LPA breaks the
+        learned FTL's correction rule; the CLI reports it and exits 3."""
+        with mock.patch.object(
+            FlashDevice, "correct_misprediction", return_value=None
+        ):
+            rc = main(
+                ["run", "--synth", "random", "--count", "3000",
+                 "--pages", "4096", "--read-ratio", "0.5", "--gamma", "8"]
+                + SMALL
+            )
+        assert rc == 3
+        assert "model violation:" in capsys.readouterr().err

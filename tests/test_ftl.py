@@ -274,20 +274,41 @@ def test_leaftl_learns_each_chunk_within_its_block():
     assert inexact > 0  # some predictions rely on the gamma window
 
 
+def assert_only_newest_copies_valid(dev):
+    """Every LPA on flash has exactly one valid page: its newest programmed
+    copy, the one with the highest program_seq."""
+    per = dev.conf.pages_per_block
+    newest = {}  # lpa -> (program_seq, ppa)
+    valid = set()
+    for bid, blk in dev.programmed_blocks():
+        assert blk.valid_count == sum(blk.valid)
+        for ppa, lpa, ok in zip(range(bid * per, (bid + 1) * per), blk.lpas, blk.valid):
+            if ok:
+                valid.add(ppa)
+            if newest.get(lpa, (-1,))[0] < blk.program_seq:
+                newest[lpa] = (blk.program_seq, ppa)
+    assert valid == {ppa for _, ppa in newest.values()}
+
+
 def run_capturing(kind, conf, events, **kw):
     """sim.run, also returning the FTL it drove and how many buffered pages
-    each crash lost."""
+    each crash lost.  Right after each recovery, every LPA's newest copy
+    must be its only valid page."""
     built, lost = [], []
 
     def build(k, c):
         ftl = build_ftl(k, c)
-        crash = ftl.crash
+        crash, recover = ftl.crash, ftl.recover
 
         def counted_crash():
             lost.append(len(ftl.buffer))
             crash()
 
-        ftl.crash = counted_crash
+        def checked_recover():
+            recover()
+            assert_only_newest_copies_valid(ftl.dev)
+
+        ftl.crash, ftl.recover = counted_crash, checked_recover
         built.append(ftl)
         return ftl
 
@@ -359,20 +380,32 @@ def test_identical_flash_across_schemes(trace, gamma):
     trace=st.sampled_from(["mixed", "zipf", "random"]),
     gamma=st.sampled_from([0, 4, 16]),
     wear=st.booleans(),
+    snapshot_on_gc=st.booleans(),
+    snapshot_interval=st.sampled_from([128, 512, 10**9]),
     seed=st.integers(0, 2**16),
     count=st.integers(300, 2500),
     gc_at=st.floats(0.05, 1.0),
     crash_at=st.floats(0.05, 1.0),
 )
 def test_random_traces_leave_identical_flash(
-    trace, gamma, wear, seed, count, gc_at, crash_at
+    trace, gamma, wear, snapshot_on_gc, snapshot_interval, seed, count, gc_at,
+    crash_at,
 ):
     """The shared data path, checked on random small traces: with or without
-    wear levelling, through a forced GC and one crash between host ops, the
-    three schemes leave identical flash in every block, and every block's
-    LPAs strictly increase (a flush, GC and wear levelling all program a
-    block sorted by LPA)."""
-    conf = Config(**{**CHURN, "wear_threshold": 2 if wear else 0}, gamma=gamma)
+    wear levelling, with snapshots after every GC, every few flushes or
+    never, through a forced GC and one crash between host ops, the three
+    schemes leave identical flash in every block, and every block's LPAs
+    strictly increase (a flush, GC and wear levelling all program a block
+    sorted by LPA)."""
+    conf = Config(
+        **{
+            **CHURN,
+            "wear_threshold": 2 if wear else 0,
+            "snapshot_on_gc": snapshot_on_gc,
+            "snapshot_interval": snapshot_interval,
+        },
+        gamma=gamma,
+    )
     events = synth(trace, count, conf.logical_pages, seed=seed, read_ratio=0.3)
     states = []
     for kind in sorted(KINDS):
@@ -388,6 +421,28 @@ def test_random_traces_leave_identical_flash(
             assert all(a < b for a, b in zip(blk.lpas, blk.lpas[1:])), blk.lpas
         states.append(device_state(ftl.dev))
     assert states[0] == states[1] == states[2]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_recovery_skips_snapshot_mappings_into_reprogrammed_blocks(kind):
+    """A periodic snapshot taken before a GC maps LPAs into blocks the GC
+    erased and reprogrammed since.  Recovery must not invalidate the live
+    pages those blocks hold now, or a later GC drops them and a host flush
+    reads an unprogrammed page."""
+    conf = Config(
+        **{
+            **CHURN,
+            "snapshot_on_gc": False,
+            "snapshot_interval": 1024,
+            "wear_threshold": 0,
+        },
+        gamma=4,
+    )
+    events = synth("mixed", 2678, conf.logical_pages, seed=2451, read_ratio=0.3)
+    doc, _, _ = run_capturing(kind, conf, events, crash_at=2405, force_gc_every=2109)
+    c = doc["counters"]
+    assert doc["crashes"] == 1 and c["gc_invocations"] > 0
+    assert (c["snapshots"] > 0) == (kind == "leaftl")
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -467,7 +522,7 @@ class TestLeaFtlSpecifics:
             else:
                 assert charged == 1
         assert ftl.mispredictions > 0  # the batch above must mispredict
-        assert ftl.extra_reads == ftl.mispredictions
+        assert ftl.counters()["extra_reads"] == ftl.mispredictions
 
     def test_host_flush_raises_when_oob_correction_misses(self):
         """A host flush resolves each old copy as a read does; when the OOB
@@ -731,43 +786,6 @@ def test_block_invalidation_matches_per_page_lookups(
     doc = sim.run(kind, conf, events, force_gc_every=500)
     with mock.patch.dict(sim.FTL_KINDS, {kind: reference}):
         want = sim.run(kind, conf, events, force_gc_every=500)
-    assert sim.to_json(doc) == sim.to_json(want)
-
-
-class _PerPageRecoveryDftl(Dftl):
-    _recovery_invalidate = FtlBase._recovery_invalidate
-
-
-class _PerPageRecoverySftl(Sftl):
-    _recovery_invalidate = FtlBase._recovery_invalidate
-
-
-@pytest.mark.parametrize(
-    "kind,reference",
-    [("dftl", _PerPageRecoveryDftl), ("sftl", _PerPageRecoverySftl)],
-)
-@settings(max_examples=30, deadline=None)
-@given(ops=trace_ops, tpages=st.integers(1, 3), crash=st.integers(0, 1500))
-def test_recovery_invalidation_matches_per_page_lookups(
-    kind, reference, ops, tpages, crash
-):
-    """Recovery replays a block's old copies through the host flush's
-    per-block invalidation; with a cache of 1-3 translation pages the
-    document equals that of a _recovery_old_ppa lookup per page."""
-    conf = Config(
-        **TINY_TPAGES,
-        blocks_per_channel=16,
-        pages_per_block=32,
-        dram_bytes=tpages * 256,
-        snapshot_on_gc=False,
-    )
-    events = [TraceEvent(0, "w", lpa, 1) for lpa in range(409)]
-    events += [TraceEvent(0, op, lpa, 1) for op, lpa in ops]
-    crash_at = min(409 + crash, len(events))
-    doc = sim.run(kind, conf, events, force_gc_every=500, crash_at=crash_at)
-    with mock.patch.dict(sim.FTL_KINDS, {kind: reference}):
-        want = sim.run(kind, conf, events, force_gc_every=500, crash_at=crash_at)
-    assert doc["counters"]["blocks_relearned"] > 0
     assert sim.to_json(doc) == sim.to_json(want)
 
 
