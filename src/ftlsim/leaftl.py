@@ -30,6 +30,7 @@ The restored LRU order is the recency at the snapshot.
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 
 from .config import ConfigError
 from .ftl import FtlBase
@@ -67,30 +68,39 @@ class LeaFtl(FtlBase):
 
     def _map_insert(self, entries, first_ppa):
         n = len(entries)
-        bounds = (first_ppa, first_ppa + n - 1)
-        pts = [(lpa, first_ppa + i) for i, (lpa, _) in enumerate(entries)]
-        # every touched group must be resident before its segments land
+        pts = list(zip(map(itemgetter(0), entries), range(first_ppa, first_ppa + n)))
+        fitted = learn_segments(pts, self.conf.gamma, (first_ppa, first_ppa + n - 1))
+        # every touched group must be resident before its segments land;
+        # each one has a segment, and the segments come in LPA order
         seen = -1
+        for gid, _ in fitted:
+            if gid != seen:
+                seen = gid
+                self._require_group(gid)
+        self.table.insert_fitted(fitted)
+        self._enforce_dram()
+
+    def _map_lookup(self, lpa):
+        group = self._use_group(lpa // GROUP_SIZE)
+        if group is None:
+            return None
+        return group.lookup(lpa % GROUP_SIZE)
+
+    def _invalidate_old(self, entries):
+        """Invalidate each flushed LPA's previous copy, using each group
+        once: the entries are sorted, so a group's LPAs are adjacent."""
+        dev = self.dev
+        seen = -1
+        group = None
         for lpa, _ in entries:
             gid = lpa // GROUP_SIZE
             if gid != seen:
                 seen = gid
-                self._require_group(gid)
-        self.table.insert_fitted(learn_segments(pts, self.conf.gamma, bounds))
-        self._enforce_dram()
-
-    def _map_lookup(self, lpa):
-        gid = lpa // GROUP_SIZE
-        groups = self.table.groups
-        group = groups.get(gid)
-        if group is not None:
-            groups.move_to_end(gid)
-        else:
-            group = self.gmd.get(gid)
-            if group is None:
-                return None
-            self._require_group(gid)  # reloads it as the most recent
-        return group.lookup(lpa % GROUP_SIZE)
+                group = self._use_group(gid)
+            if group is not None:
+                res = group.lookup(lpa % GROUP_SIZE)
+                if res is not None:
+                    dev.invalidate_page(self._true_ppa(lpa, res[0], res[1]))
 
     def _map_peek(self, lpa):
         """Look lpa up in its resident or evicted group: no LRU move, no
@@ -115,6 +125,20 @@ class LeaFtl(FtlBase):
         self.gmd = {}
 
     # -- group residency -------------------------------------------------------
+
+    def _use_group(self, gid):
+        """The group a lookup reads, as the most recently used: a resident
+        one moves to the end of the LRU, an evicted one is reloaded there.
+        None when gid has no mapping."""
+        groups = self.table.groups
+        group = groups.get(gid)
+        if group is not None:
+            groups.move_to_end(gid)
+            return group
+        if gid not in self.gmd:
+            return None
+        self._require_group(gid)
+        return groups[gid]
 
     def _require_group(self, gid):
         """Make gid resident; a reloaded or new group joins the LRU as the

@@ -109,15 +109,19 @@ class GroupTable:
     deserialize_group(serialize_group(group)) rebuilds the group field for
     field, so a holder of a group nothing updates (leaftl's GMD) keeps the
     object and encodes it only when it needs the bytes, for a snapshot.
+    dirty says whether seg_update ran since the last compaction; a new or
+    deserialized group starts dirty, and MappingTable.compact skips a clean
+    one, which compaction would leave as it is.
     """
 
-    __slots__ = ("levels", "cached_bytes", "crb", "nsegs")
+    __slots__ = ("levels", "cached_bytes", "crb", "nsegs", "dirty")
 
     def __init__(self):
         self.levels = []
         self.cached_bytes = 0
         self.crb = 0
         self.nsegs = 0
+        self.dirty = True  # updated since its last compaction
 
     # -- queries ----------------------------------------------------------
 
@@ -154,6 +158,7 @@ class GroupTable:
         The segment's CRB run, if any, is registered first: its offsets are
         removed from every other run of the group.
         """
+        self.dirty = True
         if seg.slope_bits & 1:
             self._crb_dedup(seg)
             self.crb += seg.bm.bit_count() + 1
@@ -211,8 +216,10 @@ class GroupTable:
         after: masking only removes member claims that an upper (newer)
         segment already answers, and a segment is only promoted past levels
         that have no overlap with its range.  Memory never increases (no
-        segment or level is ever added).
+        segment or level is ever added).  Compaction is idempotent, so the
+        group is clean until its next update.
         """
+        self.dirty = False
         claimed = 0
         for level in self.levels:
             level_bm = 0
@@ -293,9 +300,12 @@ class MappingTable:
         return group.lookup(lpa % GROUP_SIZE)
 
     def compact(self):
+        """Compact every group updated since its last compaction; a clean
+        group would come out unchanged."""
         for gid, group in self.groups.items():
-            group.seg_compact()
-            self._touch(gid, group)
+            if group.dirty:
+                group.seg_compact()
+                self._touch(gid, group)
 
     def add_group(self, gid, group):
         """Make a (deserialized) group resident; the pair of drop_group."""

@@ -8,21 +8,32 @@ an intercept in absolute PPA units.  Approximate segments guarantee
 exactly and their members form an arithmetic LPA progression so membership
 is decidable from the slope alone (stride = ceil(1/K)).
 
-The learner is a two-phase greedy over two primitives: _run_ends finds
-where the exact run (constant LPA stride, PPA step exactly 1) starting at
-each point ends, and _cone the feasible slopes of lines through a point.
-Maximal runs of at least RUN_MIN members become accurate segments; a
-leftover stretch is cut into its exact runs at gamma 0, and into the
-byte-minimal mix of runs and cone pieces at gamma > 0.  Run extraction
-does not depend on gamma, which keeps the output monotone: a wider gamma
-never yields more segments or more CRB bytes on the same input.
+The learner is a two-phase greedy over two primitives: _exact_runs lists
+the maximal exact runs (constant LPA stride, PPA step exactly 1) of a
+group, and _cone the feasible slopes of lines through a point.  Maximal
+runs of at least RUN_MIN members become accurate segments; a leftover
+stretch is cut into its exact runs at gamma 0, and into the byte-minimal
+mix of runs and cone pieces at gamma > 0.  Run extraction does not depend
+on gamma, which keeps the output monotone: a wider gamma never yields
+more segments or more CRB bytes on the same input.
+
+Python-level work is per run and per leftover point, not per page: a
+batch splits into groups by bisecting its LPAs; along strictly increasing
+LPAs, lpa - index is constant exactly on a stride-1 chain, so one bisect
+finds each stride-1 run; and a stride-1 run's accurate segment (slope 1,
+integer intercept) is exact without a member check (_unit_run).  Only
+runs of other strides and the leftover stretches are walked point by
+point.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left, bisect_right
 from functools import cache
+from itertools import repeat
+from operator import itemgetter, sub
 from typing import Optional, Sequence
 
 GROUP_SIZE = 256
@@ -209,31 +220,90 @@ def _accurate_slope_bits(stride: int) -> Optional[int]:
     return None
 
 
+_UNIT_BITS = _accurate_slope_bits(1)  # binary16 1.0
+# binary32 holds every integer of smaller magnitude exactly
+_F32_EXACT = 1 << 24
+
+
 def _single_point(x: int, y: int) -> Segment:
     return Segment(x, 0, 0, 0.0, float(y), 1 << x)
 
 
-def _run_ends(pts) -> list:
-    """ends[j]: last index of the exact run starting at pts[j], i.e. constant
-    LPA stride and a PPA step of exactly 1 (one backward pass)."""
-    n = len(pts)
-    ends = [n - 1] * n
-    nx, ny = pts[-1]
-    next_step = None  # LPA stride of the step out of the next point, if exact
-    for j in range(n - 2, -1, -1):
-        x, y = pts[j]
-        if ny - y != 1:
-            ends[j] = j
-            next_step = None
+def _unit_run(x0: int, y0: int, span: int) -> Optional[Segment]:
+    """The accurate segment of the stride-1 exact run from (x0, y0) over
+    span further offsets, or None when its intercept is out of range.
+
+    The slope is 1.0, so there is no drift and the intercept is the
+    integer y0 - x0: while binary32 holds it exactly, every member is
+    predicted exactly and _fit_run's member check cannot fail.
+    """
+    d = y0 - x0
+    if -_F32_EXACT < d < _F32_EXACT:
+        return Segment(x0, span, _UNIT_BITS, 1.0, float(d))
+    return None
+
+
+def _exact_runs(lpas, ppas, d, lo, hi) -> list:
+    """The maximal exact runs among points lo..hi-1: constant LPA stride
+    and a PPA step of exactly 1.  Returns (first, last) index pairs, last >
+    first, in order; a run's last point may be the next run's first.
+
+    d[j] is lpas[j] - j, which never decreases along strictly increasing
+    LPAs and is constant exactly along a stride-1 chain, so one bisect
+    finds where a stride-1 run ends and a slice compare checks its PPAs.
+    Only runs of another stride are walked point by point.
+    """
+    runs = []
+    last = hi - 1
+    j = lo
+    while j < last:
+        y = ppas[j]
+        if ppas[j + 1] - y != 1:
+            j += 1
+            continue
+        step = lpas[j + 1] - lpas[j]
+        if step == 1:
+            e = bisect_right(d, d[j], j + 1, hi) - 1
+            if ppas[j : e + 1] != list(range(y, y + e - j + 1)):
+                # the compare failed, so a PPA step breaks before e
+                e = j + 1
+                while ppas[e + 1] - ppas[e] == 1:
+                    e += 1
         else:
-            step = nx - x
-            if step != next_step:
-                ends[j] = j + 1
-            else:
-                ends[j] = ends[j + 1]
-            next_step = step
-        nx, ny = x, y
+            e = j + 1
+            while (
+                e < last
+                and lpas[e + 1] - lpas[e] == step
+                and ppas[e + 1] - ppas[e] == 1
+            ):
+                e += 1
+        runs.append((j, e))
+        j = e
+    return runs
+
+
+def _stretch_ends(runs, p, q) -> list:
+    """ends[j]: last index (from p) of the exact run that starts at point
+    p + j, for points p..q-1; runs are the _exact_runs reaching into them."""
+    ends = list(range(q - p))
+    for a, b in runs:
+        if a < p:
+            a = p
+        if b >= q:
+            b = q - 1
+        if a < b:
+            ends[a - p : b - p] = [b - p] * (b - a)
     return ends
+
+
+def _run_ends(pts) -> list:
+    """ends[j]: last index of the exact run starting at pts[j], for (x, y)
+    points with strictly increasing x."""
+    n = len(pts)
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    d = list(map(sub, xs, range(n)))
+    return _stretch_ends(_exact_runs(xs, ys, d, 0, n), 0, n)
 
 
 def _cone(pts, j, stop, gamma, bounds) -> tuple:
@@ -264,14 +334,18 @@ def _cone(pts, j, stop, gamma, bounds) -> tuple:
 
 
 def _fit_run(pts) -> Optional[Segment]:
-    """Fit an accurate segment over an exact run (see _run_ends)."""
-    stride = pts[1][0] - pts[0][0]
+    """Fit an accurate segment over an exact run (see _exact_runs)."""
+    x0, y0 = pts[0]
+    span = pts[-1][0] - x0
+    if span == len(pts) - 1:
+        seg = _unit_run(x0, y0, span)
+        if seg is not None:
+            return seg
+    stride = pts[1][0] - x0
     bits = _accurate_slope_bits(stride)
     if bits is None:
         return None
     k = decode_slope(bits)
-    x0, y0 = pts[0]
-    span = pts[-1][0] - x0
     # k >= 1/stride, so predictions drift upward along the run; anchor the
     # intercept so the last member lands exactly and the drift stays < 1.
     drift = span * k - span / stride
@@ -305,17 +379,21 @@ def _fit_approximate(pts, gamma, bounds) -> Optional[Segment]:
     return Segment(x0, pts[-1][0] - x0, bits, k, intercept, bm)
 
 
-def _learn_stretch(pts, gamma, bounds, out) -> None:
-    """Fit one leftover stretch (group-relative points).
+def _learn_stretch(pts, ends, gamma, bounds, out) -> None:
+    """Fit one leftover stretch (group-relative points; ends are its
+    _run_ends).
 
     gamma=0 emits each exact run as its own piece; gamma>0 picks the
     partition with the fewest encoded bytes (see _dp_stretch), which makes
-    table size non-increasing as gamma widens.
+    table size non-increasing as gamma widens.  A stretch that is one
+    exact run (or one point) is one 8-byte piece either way.
     """
-    if gamma > 0:
-        _dp_stretch(pts, gamma, bounds, out)
+    if ends[0] == len(pts) - 1:
+        _emit(pts, True, gamma, bounds, out)
         return
-    ends = _run_ends(pts)
+    if gamma > 0:
+        _dp_stretch(pts, ends, gamma, bounds, out)
+        return
     start = 0
     while start < len(pts):
         end = ends[start]
@@ -323,7 +401,13 @@ def _learn_stretch(pts, gamma, bounds, out) -> None:
         start = end + 1
 
 
-def _dp_stretch(pts, gamma, bounds, out) -> None:
+# A partition's cost in _dp_stretch, bytes * _DP_BYTE + segments: one int
+# that orders as the (bytes, segments) pair, since a stretch holds at most
+# GROUP_SIZE points.
+_DP_BYTE = 1 << 10
+
+
+def _dp_stretch(pts, run_ext, gamma, bounds, out) -> None:
     """Byte-minimal partition of a leftover stretch into segments.
 
     A piece costs 8 bytes when it is a single point or an exact run
@@ -340,7 +424,6 @@ def _dp_stretch(pts, gamma, bounds, out) -> None:
     the run structure, not on gamma, so it preserves the monotonicity above.
     """
     n = len(pts)
-    run_ext = _run_ends(pts)
     # cone_cap[j]: furthest index an approximate piece starting at j may
     # reach without fully containing a protected run (suffix minimum).
     cone_cap = [n - 1] * n
@@ -351,24 +434,53 @@ def _dp_stretch(pts, gamma, bounds, out) -> None:
             if here < cap:
                 cap = here
         cone_cap[j] = cap
-    # cone_ext[j]: furthest i such that a gamma-feasible line covers pts[j..i].
-    cone_ext = [_cone(pts, j, cone_cap[j], gamma, bounds)[0] for j in range(n)]
-    # dp[i] = (bytes, segments) for the best partition of pts[:i];
-    # ties prefer fewer segments so wider gamma never returns more of them.
-    inf = (1 << 60, 1 << 60)
-    dp = [inf] * (n + 1)
-    dp[0] = (0, 0)
+    # each point's PPA window, clamped to bounds as in _cone
+    if bounds is None:
+        floor, ceiling = -math.inf, math.inf
+    else:
+        floor, ceiling = bounds
+    xs = [x for x, _ in pts]
+    ylos = [floor if y - gamma < floor else y - gamma for _, y in pts]
+    yhis = [ceiling if y + gamma > ceiling else y + gamma for _, y in pts]
+    # dp[i]: cost of the best partition of pts[:i]; ties in bytes prefer
+    # fewer segments so wider gamma never returns more of them.  Every
+    # dp[j] is finite by the time j is reached: pts[j-1] alone is a piece.
+    exact_cost = 8 * _DP_BYTE + 1
+    dp = [1 << 62] * (n + 1)
+    dp[0] = 0
     back = [0] * (n + 1)
     for j in range(n):
-        bj, sj = dp[j]
-        if bj >= inf[0]:
+        bj = dp[j]
+        r = run_ext[j]
+        cand = bj + exact_cost
+        for i in range(j + 1, r + 2):
+            if cand < dp[i]:
+                dp[i] = cand
+                back[i] = j
+        stop = cone_cap[j]
+        if stop <= r:
             continue
-        for i in range(j, max(run_ext[j], cone_ext[j]) + 1):
-            if i <= run_ext[j]:
-                cost = 8
-            else:
-                cost = 9 + (i - j + 1) + ABSORB_PENALTY
-            cand = (bj + cost, sj + 1)
+        # the cone of _cone(pts, j, stop, gamma, bounds), inlined: the
+        # approximate pieces from j end at most where it does
+        x0, y0 = pts[j]
+        lo, hi = 0.0, 1.0
+        end = stop
+        for i in range(j + 1, stop + 1):
+            dx = xs[i] - x0
+            nlo = (ylos[i] - y0) / dx
+            nhi = (yhis[i] - y0) / dx
+            if nlo > hi or nhi < lo or nlo > nhi:
+                end = i - 1
+                break
+            if nlo > lo:
+                lo = nlo
+            if nhi < hi:
+                hi = nhi
+        # an approximate piece pts[j..i] costs 9 + (i - j + 1) bytes plus
+        # the absorb penalty
+        cand = bj + (10 + ABSORB_PENALTY - j + r) * _DP_BYTE + 1
+        for i in range(r + 1, end + 1):
+            cand += _DP_BYTE
             if cand < dp[i + 1]:
                 dp[i + 1] = cand
                 back[i + 1] = j
@@ -383,7 +495,7 @@ def _dp_stretch(pts, gamma, bounds, out) -> None:
 
 
 def _emit(pts, exact, gamma, bounds, out) -> None:
-    """Fit one piece; exact says it is an exact run (see _run_ends)."""
+    """Fit one piece; exact says it is an exact run (see _exact_runs)."""
     if len(pts) == 1:
         out.append(_single_point(*pts[0]))
         return
@@ -398,32 +510,72 @@ def _emit(pts, exact, gamma, bounds, out) -> None:
         return
     # Quantization pushed a prediction out of tolerance; split and refit.
     mid = len(pts) // 2
-    _learn_stretch(pts[:mid], gamma, bounds, out)
-    _learn_stretch(pts[mid:], gamma, bounds, out)
+    for half in (pts[:mid], pts[mid:]):
+        _learn_stretch(half, _run_ends(half), gamma, bounds, out)
 
 
-def _learn_group(pts, gamma, bounds) -> list:
-    """Segments of one group's (offset, ppa) points, in offset order."""
-    n = len(pts)
-    if n == 1:
-        return [_single_point(*pts[0])]
+def _group_points(lpas, ppas, p, q, base) -> list:
+    """Points p..q-1 as (group offset, ppa) pairs."""
+    return list(zip([x - base for x in lpas[p:q]], ppas[p:q]))
+
+
+def _fit_long_run(lpas, ppas, s, b, base):
+    """Fit the exact run of points s..b as one accurate segment, retried
+    one point shorter while it does not fit and keeps RUN_MIN members.
+    Returns (first point, segment), or None."""
+    while b - s + 1 >= RUN_MIN:
+        span = lpas[b] - lpas[s]
+        seg = _unit_run(lpas[s] - base, ppas[s], span) if span == b - s else None
+        if seg is None:
+            seg = _fit_run(_group_points(lpas, ppas, s, b + 1, base))
+        if seg is not None:
+            return s, seg
+        s += 1
+    return None
+
+
+def _learn_leftover(lpas, ppas, runs, p, q, base, gamma, bounds, out) -> None:
+    """_learn_stretch over points p..q-1; runs reach into them."""
+    if q - p == 1:
+        out.append(_single_point(lpas[p] - base, ppas[p]))
+        return
+    pts = _group_points(lpas, ppas, p, q, base)
+    _learn_stretch(pts, _stretch_ends(runs, p, q), gamma, bounds, out)
+
+
+def _learn_group(lpas, ppas, d, lo, hi, gamma, bounds) -> list:
+    """Segments of the group that holds points lo..hi-1 (two or more), in
+    offset order.
+
+    Maximal exact runs of at least RUN_MIN members become accurate
+    segments, a stride-1 one without a member check (_unit_run); the
+    leftover stretches between them take the run ends of the runs that
+    reach into them.
+    """
+    base = lpas[lo] - lpas[lo] % GROUP_SIZE
     out: list = []
-    ends = _run_ends(pts)
-    pending_start = 0
-    i = 0
-    while i < n:
-        j = ends[i]
-        if j - i + 1 >= RUN_MIN:
-            seg = _fit_run(pts[i : j + 1])
-            if seg is not None:
-                if pending_start < i:
-                    _learn_stretch(pts[pending_start:i], gamma, bounds, out)
-                out.append(seg)
-                i = pending_start = j + 1
-                continue
-        i += 1
-    if pending_start < n:
-        _learn_stretch(pts[pending_start:], gamma, bounds, out)
+    runs = _exact_runs(lpas, ppas, d, lo, hi)
+    pending = lo  # first point not yet fitted
+    k0 = 0  # first run not wholly behind the last segment
+    for k, (a, b) in enumerate(runs):
+        # a run whose first point ended the last segment starts one later
+        if a < pending:
+            a = pending
+        if b - a + 1 < RUN_MIN:
+            continue
+        fit = _fit_long_run(lpas, ppas, a, b, base)
+        if fit is None:
+            continue
+        s, seg = fit
+        if pending < s:
+            _learn_leftover(
+                lpas, ppas, runs[k0 : k + 1], pending, s, base, gamma, bounds, out
+            )
+        out.append(seg)
+        pending = b + 1
+        k0 = k + 1
+    if pending < hi:
+        _learn_leftover(lpas, ppas, runs[k0:], pending, hi, base, gamma, bounds, out)
     return out
 
 
@@ -444,21 +596,22 @@ def learn_segments(
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
+    n = len(points)
+    lpas = list(map(itemgetter(0), points))
+    ppas = list(map(itemgetter(1), points))
+    # lpas[j] - j never decreases exactly when the LPAs strictly increase
+    d = list(map(sub, lpas, range(n)))
+    if d != sorted(d):
+        raise ValueError("batch LPAs must be strictly increasing")
     out: list = []
-    group_pts: list = []
-    group_id = None
-    prev_lpa = None
-    for lpa, ppa in points:
-        if prev_lpa is not None and lpa <= prev_lpa:
-            raise ValueError("batch LPAs must be strictly increasing")
-        prev_lpa = lpa
-        gid = lpa // GROUP_SIZE
-        if gid != group_id:
-            if group_pts:
-                out += [(group_id, s) for s in _learn_group(group_pts, gamma, bounds)]
-            group_id = gid
-            group_pts = []
-        group_pts.append((lpa % GROUP_SIZE, ppa))
-    if group_pts:
-        out += [(group_id, s) for s in _learn_group(group_pts, gamma, bounds)]
+    lo = 0
+    while lo < n:
+        gid = lpas[lo] // GROUP_SIZE
+        hi = bisect_left(lpas, (gid + 1) * GROUP_SIZE, lo + 1)
+        if hi - lo == 1:
+            out.append((gid, _single_point(lpas[lo] % GROUP_SIZE, ppas[lo])))
+        else:
+            segs = _learn_group(lpas, ppas, d, lo, hi, gamma, bounds)
+            out += zip(repeat(gid), segs)
+        lo = hi
     return out

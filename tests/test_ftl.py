@@ -865,15 +865,15 @@ class _SeparateLruLeaFtl(LeaFtl):
         self._lru = OrderedDict()  # resident gid -> True, least recent first
         super().__init__(device)
 
-    def _map_lookup(self, lpa):
-        gid = lpa // GROUP_SIZE
+    def _use_group(self, gid):
+        # every lookup, by a read, a flush or a recovery, goes through here
         if gid in self._lru:
             self._lru.move_to_end(gid)
         elif gid in self.gmd:
             self._require_group(gid)
         else:
             return None
-        return self.table.lookup(lpa)
+        return self.table.groups[gid]
 
     def _require_group(self, gid):
         if gid in self.table.groups:

@@ -6,6 +6,7 @@ accounting."""
 import math
 import random
 from bisect import bisect_right, insort_right
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -237,6 +238,56 @@ class TestCompaction:
         assert t.total_bytes < before
         assert t.lookup(40)[0] == 1040
         assert t.lookup(0)[0] == 1000
+
+
+class TestCleanGroupsSkipCompaction:
+    """MappingTable.compact runs seg_compact only on a group that
+    seg_update touched since its last compaction, or that was just
+    deserialized."""
+
+    @staticmethod
+    def two_groups():
+        t = MappingTable()
+        t.insert_fitted(learn_segments([(i, 1000 + i) for i in range(64)], 0))
+        t.insert_fitted(learn_segments([(i, 2000 + i) for i in range(16, 32)], 4))
+        t.insert_fitted(learn_segments([(256 + i, 3000 + i) for i in range(8)], 0))
+        return t
+
+    @staticmethod
+    def compacted_groups(table, times=1):
+        """The groups each of times compactions runs seg_compact on."""
+        seg_compact = GroupTable.seg_compact
+        with mock.patch.object(
+            GroupTable, "seg_compact", autospec=True, side_effect=seg_compact
+        ) as spy:
+            passes = []
+            for _ in range(times):
+                table.compact()
+                passes.append([c.args[0] for c in spy.call_args_list])
+                spy.reset_mock()
+        return passes
+
+    def test_second_compaction_without_update_runs_no_pass(self):
+        t = self.two_groups()
+        first, second = self.compacted_groups(t, 2)
+        assert first == [t.groups[0], t.groups[1]]
+        assert second == []
+
+    def test_one_update_makes_its_group_compact_again(self):
+        t = self.two_groups()
+        t.compact()
+        t.insert_fitted(learn_segments([(40, 5000)], 0))
+        assert self.compacted_groups(t) == [[t.groups[0]]]
+        assert t.lookup(40)[0] == 5000
+
+    def test_deserialized_group_compacts_once(self):
+        t = self.two_groups()
+        t.compact()
+        blob = serialize_group(t.groups[0])
+        t.drop_group(0)
+        t.add_group(0, deserialize_group(blob))
+        assert self.compacted_groups(t, 2) == [[t.groups[0]], []]
+        assert serialize_group(t.groups[0]) == blob
 
 
 class TestSerialization:

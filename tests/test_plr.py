@@ -1,5 +1,6 @@
-"""Learner tests: fitting examples, quantization, and the error-bound
-property under randomized batches."""
+"""Learner tests: fitting examples, quantization, the error-bound property
+under randomized batches, and field-for-field equality with the per-point
+learner it replaced (reference_plr.py)."""
 
 import math
 import random
@@ -16,11 +17,13 @@ from ftlsim.plr import (
     _fit_run,
     _fits,
     _run_ends,
+    _unit_run,
     decode_slope,
     learn_segments,
     members,
     quantize_slope,
 )
+from reference_plr import learn_segments as reference_learn_segments
 
 
 def encoded_members(seg):
@@ -291,3 +294,88 @@ def lpa_ppa_batches(draw):
 @given(lpa_ppa_batches())
 def test_run_ends_match_forward_scan(pts):
     assert _run_ends(pts) == [run_end_brute(pts, j) for j in range(len(pts))]
+
+
+def all_fields(pairs):
+    """Every field of every segment, floats by their bits (0.0 is not
+    -0.0)."""
+    return [
+        (gid, s.start, s.length, s.end, s.slope_bits, s.slope.hex(),
+         s.intercept.hex(), s.bm, s.step)
+        for gid, s in pairs
+    ]
+
+
+def assert_matches_reference(pts, gamma, bounds=None):
+    got = learn_segments(pts, gamma, bounds)
+    assert all_fields(got) == all_fields(reference_learn_segments(pts, gamma, bounds))
+
+
+@st.composite
+def ftl_batches(draw):
+    """One programmed block as leaftl learns it: up to 256 sorted LPAs over
+    a few groups, mixing sequential and strided runs with random pages, at
+    consecutive PPAs and bounded to them.  The first PPA is sometimes near
+    2**24, where the stride-1 fit's intercept leaves binary32's exact
+    integers."""
+    lpas = set()
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["sequential", "sequential", "strided", "random"]))
+        if kind == "random":
+            lpas |= draw(st.sets(st.integers(0, 1023), max_size=48))
+        else:
+            step = 1 if kind == "sequential" else draw(st.integers(2, 9))
+            start = draw(st.integers(0, 1023))
+            lpas.update(range(start, start + step * draw(st.integers(1, 200)), step))
+    lpas = sorted(lpas)[:256]
+    ppa0 = draw(
+        st.one_of(
+            st.integers(0, 1 << 20),
+            st.integers((1 << 24) - 512, (1 << 24) + 512),
+        )
+    )
+    return [(lpa, ppa0 + i) for i, lpa in enumerate(lpas)], (ppa0, ppa0 + len(lpas) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ftl_batches(), st.integers(0, 16))
+def test_matches_reference_on_ftl_batches(batch, gamma):
+    pts, bounds = batch
+    assert_matches_reference(pts, gamma, bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lpa_ppa_batches(), st.integers(0, 16))
+def test_matches_reference_on_generic_batches(pts, gamma):
+    assert_matches_reference(pts, gamma)
+
+
+@pytest.mark.parametrize("gamma", [0, 4, 16])
+def test_stride2_run_whose_last_point_starts_a_stride1_run(gamma):
+    """LPA 14 ends the stride-2 run 0, 2, ..., 14 and starts the stride-1
+    run 14, 15, ..., 40.  The stride-2 segment keeps it, so the stride-1
+    segment starts one point later."""
+    lpas = list(range(0, 16, 2)) + list(range(15, 41))
+    pts = [(lpa, 900 + i) for i, lpa in enumerate(lpas)]
+    bounds = (900, 900 + len(pts) - 1)
+    assert_matches_reference(pts, gamma, bounds)
+    segs = [seg for _, seg in learn_segments(pts, gamma, bounds)]
+    assert [(s.start, s.end, s.step, s.accurate) for s in segs] == [
+        (0, 14, 2, True),
+        (15, 40, 1, True),
+    ]
+
+
+@pytest.mark.parametrize("gamma", [0, 8])
+@pytest.mark.parametrize(
+    "offset", [1 << 24, (1 << 24) + 1, (1 << 24) + 57, -(1 << 24), -(1 << 24) - 1]
+)
+def test_stride1_run_beyond_binary32_takes_the_checked_fit(offset, gamma):
+    """|ppa - offset| >= 2**24: the unchecked stride-1 fit declines, and
+    the checked fit (or, when binary32 rounds the intercept, the fallback
+    after it) gives the reference's segments."""
+    first = 44 + offset
+    pts = [(300 + i, first + i) for i in range(40)]  # offsets 44..83 of group 1
+    assert _unit_run(44, first, 39) is None
+    assert_matches_reference(pts, gamma, (first, first + 39))
+    assert_matches_reference(pts, gamma)
