@@ -48,11 +48,6 @@ _SEG_STRUCT = struct.Struct("<BBHf")
 _START = operator.attrgetter("start")
 
 
-def has_lpa(segment: Segment, offset: int) -> bool:
-    """Membership test for a group-relative offset."""
-    return segment.bm >> offset & 1 == 1
-
-
 def seg_merge(new: Segment, old: Segment, group: "GroupTable") -> None:
     """Mask new's members out of old; tighten or mark old removable.
 

@@ -8,22 +8,24 @@ an intercept in absolute PPA units.  Approximate segments guarantee
 exactly and their members form an arithmetic LPA progression so membership
 is decidable from the slope alone (stride = ceil(1/K)).
 
-The learner is a two-phase greedy over two primitives: _exact_runs lists
-the maximal exact runs (constant LPA stride, PPA step exactly 1) of a
-group, and _cone the feasible slopes of lines through a point.  Maximal
-runs of at least RUN_MIN members become accurate segments; a leftover
-stretch is cut into its exact runs at gamma 0, and into the byte-minimal
-mix of runs and cone pieces at gamma > 0.  Run extraction does not depend
-on gamma, which keeps the output monotone: a wider gamma never yields
-more segments or more CRB bytes on the same input.
+The learner works on index ranges: every piece it fits is points p..q-1
+of the batch's lpas and ppas lists, at group offsets lpa - base; no (x, y)
+point list is built.  _exact_runs lists a group's maximal exact runs
+(constant LPA stride, PPA step exactly 1); each of at least RUN_MIN members
+becomes an accurate segment (_fit_run, with no member check for stride 1).
+A leftover stretch between them is cut into its exact runs at gamma 0, and
+into the byte-minimal mix of runs and approximate pieces at gamma > 0
+(_dp_stretch), whose lines _cone bounds by each point's PPA window
+(_windows).  A stretch, or a half of a piece whose fit failed, clips the
+group's runs to its range (_stretch_ends): a maximal run stays maximal
+inside any sub-range.  Run extraction does not depend on gamma, which keeps
+the output monotone: a wider gamma never yields more segments or more CRB
+bytes on the same input.
 
-Python-level work is per run and per leftover point, not per page: a
-batch splits into groups by bisecting its LPAs; along strictly increasing
-LPAs, lpa - index is constant exactly on a stride-1 chain, so one bisect
-finds each stride-1 run; and a stride-1 run's accurate segment (slope 1,
-integer intercept) is exact without a member check (_unit_run).  Only
-runs of other strides and the leftover stretches are walked point by
-point.
+Python-level work is per run and per leftover point, not per page: a batch
+splits into groups by bisecting its LPAs, and along strictly increasing
+LPAs lpa - index is constant exactly on a stride-1 chain, so one bisect
+finds each stride-1 run.
 """
 
 from __future__ import annotations
@@ -168,10 +170,6 @@ class Segment:
     def accurate(self):
         return (self.slope_bits & 1) == 0
 
-    @property
-    def stride(self):
-        return 1 if self.length <= 0 else self.step
-
     def predict(self, offset):
         return math.ceil(self.slope * offset + self.intercept)
 
@@ -180,12 +178,13 @@ class Segment:
         return f"<Segment {kind} [{self.start},{self.start + self.length}] k={self.slope:.4f}>"
 
 
-def _fits(k, intercept, pts, gamma, bounds) -> bool:
-    """Every prediction ceil(k*x + intercept) of group-relative points is
-    within gamma of its PPA (exact at gamma 0) and inside bounds, if given."""
+def _fits(k, intercept, lpas, ppas, base, p, q, gamma, bounds) -> bool:
+    """Every prediction ceil(k*x + intercept) of points p..q-1, x = lpa -
+    base, is within gamma of its PPA (exact at gamma 0) and inside bounds,
+    if given."""
     ceil = math.ceil
-    for x, y in pts:
-        pred = ceil(k * x + intercept)
+    for x, y in zip(lpas[p:q], ppas[p:q]):
+        pred = ceil(k * (x - base) + intercept)
         if pred - y > gamma or y - pred > gamma:
             return False
         if bounds is not None and not bounds[0] <= pred <= bounds[1]:
@@ -227,20 +226,6 @@ _F32_EXACT = 1 << 24
 
 def _single_point(x: int, y: int) -> Segment:
     return Segment(x, 0, 0, 0.0, float(y), 1 << x)
-
-
-def _unit_run(x0: int, y0: int, span: int) -> Optional[Segment]:
-    """The accurate segment of the stride-1 exact run from (x0, y0) over
-    span further offsets, or None when its intercept is out of range.
-
-    The slope is 1.0, so there is no drift and the intercept is the
-    integer y0 - x0: while binary32 holds it exactly, every member is
-    predicted exactly and _fit_run's member check cannot fail.
-    """
-    d = y0 - x0
-    if -_F32_EXACT < d < _F32_EXACT:
-        return Segment(x0, span, _UNIT_BITS, 1.0, float(d))
-    return None
 
 
 def _exact_runs(lpas, ppas, d, lo, hi) -> list:
@@ -296,34 +281,29 @@ def _stretch_ends(runs, p, q) -> list:
     return ends
 
 
-def _run_ends(pts) -> list:
-    """ends[j]: last index of the exact run starting at pts[j], for (x, y)
-    points with strictly increasing x."""
-    n = len(pts)
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    d = list(map(sub, xs, range(n)))
-    return _stretch_ends(_exact_runs(xs, ys, d, 0, n), 0, n)
+def _windows(ppas, p, q, gamma, bounds) -> tuple:
+    """The PPA windows of points p..q-1, y - gamma to y + gamma clamped to
+    bounds if given: (lows, highs), indexed from p."""
+    floor, ceiling = (-math.inf, math.inf) if bounds is None else bounds
+    ys = ppas[p:q]
+    return (
+        [floor if y - gamma < floor else y - gamma for y in ys],
+        [ceiling if y + gamma > ceiling else y + gamma for y in ys],
+    )
 
 
-def _cone(pts, j, stop, gamma, bounds) -> tuple:
-    """Grow the slope interval of lines through pts[j] that keep every later
-    point within gamma (and inside bounds), up to index stop or the first
+def _cone(lpas, ppas, lows, highs, p, j, stop) -> tuple:
+    """Grow the slope interval of lines through point p + j that pass every
+    later point's window (see _windows), up to point p + stop or the first
     point no such line reaches.  Returns (end, lo, hi): the last covered
-    index and the feasible slopes over pts[j..end]."""
-    x0, y0 = pts[j]
+    index, from p, and the feasible slopes over points p + j .. p + end."""
+    x0 = lpas[p + j]
+    y0 = ppas[p + j]
     lo, hi = 0.0, 1.0
     for i in range(j + 1, stop + 1):
-        x, y = pts[i]
-        ylo, yhi = y - gamma, y + gamma
-        if bounds is not None:
-            if ylo < bounds[0]:
-                ylo = bounds[0]
-            if yhi > bounds[1]:
-                yhi = bounds[1]
-        dx = x - x0
-        nlo = (ylo - y0) / dx
-        nhi = (yhi - y0) / dx
+        dx = lpas[p + i] - x0
+        nlo = (lows[i] - y0) / dx
+        nhi = (highs[i] - y0) / dx
         if nlo > hi or nhi < lo or nlo > nhi:
             return i - 1, lo, hi
         if nlo > lo:
@@ -333,15 +313,20 @@ def _cone(pts, j, stop, gamma, bounds) -> tuple:
     return stop, lo, hi
 
 
-def _fit_run(pts) -> Optional[Segment]:
-    """Fit an accurate segment over an exact run (see _exact_runs)."""
-    x0, y0 = pts[0]
-    span = pts[-1][0] - x0
-    if span == len(pts) - 1:
-        seg = _unit_run(x0, y0, span)
-        if seg is not None:
-            return seg
-    stride = pts[1][0] - x0
+def _fit_run(lpas, ppas, base, p, q) -> Optional[Segment]:
+    """Fit an accurate segment over the exact run of points p..q-1 (see
+    _exact_runs), at group offsets lpa - base.
+
+    A stride-1 run has slope 1.0, so there is no drift, and its intercept
+    is the integer y0 - x0: while binary32 holds that exactly, every member
+    is predicted exactly and needs no check.
+    """
+    x0 = lpas[p] - base
+    y0 = ppas[p]
+    span = lpas[q - 1] - lpas[p]
+    if span == q - 1 - p and -_F32_EXACT < y0 - x0 < _F32_EXACT:
+        return Segment(x0, span, _UNIT_BITS, 1.0, float(y0 - x0))
+    stride = lpas[p + 1] - lpas[p]
     bits = _accurate_slope_bits(stride)
     if bits is None:
         return None
@@ -354,14 +339,14 @@ def _fit_run(pts) -> Optional[Segment]:
     # Rounding the intercept up could undo the drift compensation and push
     # the last member one page past its PPA.
     intercept = _f32_floor(y0 - k * x0 - drift)
-    if not _fits(k, intercept, pts, 0, None):
+    if not _fits(k, intercept, lpas, ppas, base, p, q, 0, None):
         return None
     return Segment(x0, span, bits, k, intercept)
 
 
-def _fit_approximate(pts, gamma, bounds) -> Optional[Segment]:
-    _, lo, hi = _cone(pts, 0, len(pts) - 1, gamma, bounds)
-    x0, y0 = pts[0]
+def _fit_approximate(lpas, ppas, base, p, q, gamma, bounds) -> Optional[Segment]:
+    lows, highs = _windows(ppas, p, q, gamma, bounds)
+    _, lo, hi = _cone(lpas, ppas, lows, highs, p, 0, q - p - 1)
     k_mid = (lo + hi) / 2.0
     if k_mid <= 0.0:
         return None
@@ -370,35 +355,36 @@ def _fit_approximate(pts, gamma, bounds) -> Optional[Segment]:
     k = decode_slope(bits)
     # The cone corridor is centred half a page below each PPA so that the
     # ceil in predict() lands on the PPA itself rather than one past it.
-    intercept = _f32(y0 - 0.5 - k * x0)
-    if not _fits(k, intercept, pts, gamma, bounds):
+    x0 = lpas[p] - base
+    intercept = _f32(ppas[p] - 0.5 - k * x0)
+    if not _fits(k, intercept, lpas, ppas, base, p, q, gamma, bounds):
         return None
     bm = 0
-    for x, _ in pts:
-        bm |= 1 << x
-    return Segment(x0, pts[-1][0] - x0, bits, k, intercept, bm)
+    for x in lpas[p:q]:
+        bm |= 1 << (x - base)
+    return Segment(x0, lpas[q - 1] - lpas[p], bits, k, intercept, bm)
 
 
-def _learn_stretch(pts, ends, gamma, bounds, out) -> None:
-    """Fit one leftover stretch (group-relative points; ends are its
-    _run_ends).
+def _learn_stretch(lpas, ppas, base, runs, p, q, gamma, bounds, out) -> None:
+    """Fit the leftover stretch of points p..q-1; runs are the group's
+    _exact_runs that reach into it.
 
     gamma=0 emits each exact run as its own piece; gamma>0 picks the
     partition with the fewest encoded bytes (see _dp_stretch), which makes
     table size non-increasing as gamma widens.  A stretch that is one
     exact run (or one point) is one 8-byte piece either way.
     """
-    if ends[0] == len(pts) - 1:
-        _emit(pts, True, gamma, bounds, out)
-        return
-    if gamma > 0:
-        _dp_stretch(pts, ends, gamma, bounds, out)
-        return
-    start = 0
-    while start < len(pts):
-        end = ends[start]
-        _emit(pts[start : end + 1], True, gamma, bounds, out)
-        start = end + 1
+    ends = _stretch_ends(runs, p, q)
+    if ends[0] == q - p - 1:
+        _emit(lpas, ppas, base, runs, p, q, True, gamma, bounds, out)
+    elif gamma > 0:
+        _dp_stretch(lpas, ppas, base, runs, ends, p, q, gamma, bounds, out)
+    else:
+        j = 0
+        while j < q - p:
+            e = ends[j] + 1
+            _emit(lpas, ppas, base, runs, p + j, p + e, True, gamma, bounds, out)
+            j = e
 
 
 # A partition's cost in _dp_stretch, bytes * _DP_BYTE + segments: one int
@@ -407,8 +393,9 @@ def _learn_stretch(pts, ends, gamma, bounds, out) -> None:
 _DP_BYTE = 1 << 10
 
 
-def _dp_stretch(pts, run_ext, gamma, bounds, out) -> None:
-    """Byte-minimal partition of a leftover stretch into segments.
+def _dp_stretch(lpas, ppas, base, runs, ends, p, q, gamma, bounds, out) -> None:
+    """Byte-minimal partition of the leftover stretch of points p..q-1
+    into segments; ends are its _stretch_ends.
 
     A piece costs 8 bytes when it is a single point or an exact run
     (constant LPA stride, PPA step exactly 1) and 9 + len bytes as an
@@ -423,35 +410,29 @@ def _dp_stretch(pts, run_ext, gamma, bounds, out) -> None:
     neighbouring members are overwritten.  The constraint depends only on
     the run structure, not on gamma, so it preserves the monotonicity above.
     """
-    n = len(pts)
+    n = q - p
     # cone_cap[j]: furthest index an approximate piece starting at j may
     # reach without fully containing a protected run (suffix minimum).
     cone_cap = [n - 1] * n
     cap = n - 1
     for j in range(n - 1, -1, -1):
-        if run_ext[j] - j + 1 >= PROTECTED_RUN:
+        if ends[j] - j + 1 >= PROTECTED_RUN:
             here = j + PROTECTED_RUN - 2
             if here < cap:
                 cap = here
         cone_cap[j] = cap
-    # each point's PPA window, clamped to bounds as in _cone
-    if bounds is None:
-        floor, ceiling = -math.inf, math.inf
-    else:
-        floor, ceiling = bounds
-    xs = [x for x, _ in pts]
-    ylos = [floor if y - gamma < floor else y - gamma for _, y in pts]
-    yhis = [ceiling if y + gamma > ceiling else y + gamma for _, y in pts]
-    # dp[i]: cost of the best partition of pts[:i]; ties in bytes prefer
-    # fewer segments so wider gamma never returns more of them.  Every
-    # dp[j] is finite by the time j is reached: pts[j-1] alone is a piece.
+    lows, highs = _windows(ppas, p, q, gamma, bounds)
+    # dp[i]: cost of the best partition of the first i points; ties in
+    # bytes prefer fewer segments so wider gamma never returns more of
+    # them.  Every dp[j] is finite by the time j is reached: point j - 1
+    # alone is a piece.
     exact_cost = 8 * _DP_BYTE + 1
     dp = [1 << 62] * (n + 1)
     dp[0] = 0
     back = [0] * (n + 1)
     for j in range(n):
         bj = dp[j]
-        r = run_ext[j]
+        r = ends[j]
         cand = bj + exact_cost
         for i in range(j + 1, r + 2):
             if cand < dp[i]:
@@ -460,24 +441,9 @@ def _dp_stretch(pts, run_ext, gamma, bounds, out) -> None:
         stop = cone_cap[j]
         if stop <= r:
             continue
-        # the cone of _cone(pts, j, stop, gamma, bounds), inlined: the
-        # approximate pieces from j end at most where it does
-        x0, y0 = pts[j]
-        lo, hi = 0.0, 1.0
-        end = stop
-        for i in range(j + 1, stop + 1):
-            dx = xs[i] - x0
-            nlo = (ylos[i] - y0) / dx
-            nhi = (yhis[i] - y0) / dx
-            if nlo > hi or nhi < lo or nlo > nhi:
-                end = i - 1
-                break
-            if nlo > lo:
-                lo = nlo
-            if nhi < hi:
-                hi = nhi
-        # an approximate piece pts[j..i] costs 9 + (i - j + 1) bytes plus
-        # the absorb penalty
+        # the approximate pieces from j end at most where its cone does; a
+        # piece over j..i costs 9 + (i - j + 1) bytes plus the absorb penalty
+        end = _cone(lpas, ppas, lows, highs, p, j, stop)[0]
         cand = bj + (10 + ABSORB_PENALTY - j + r) * _DP_BYTE + 1
         for i in range(r + 1, end + 1):
             cand += _DP_BYTE
@@ -491,66 +457,35 @@ def _dp_stretch(pts, run_ext, gamma, bounds, out) -> None:
         cuts.append((j, i))
         i = j
     for j, i in reversed(cuts):
-        _emit(pts[j:i], i - 1 <= run_ext[j], gamma, bounds, out)
+        exact = i - 1 <= ends[j]
+        _emit(lpas, ppas, base, runs, p + j, p + i, exact, gamma, bounds, out)
 
 
-def _emit(pts, exact, gamma, bounds, out) -> None:
-    """Fit one piece; exact says it is an exact run (see _exact_runs)."""
-    if len(pts) == 1:
-        out.append(_single_point(*pts[0]))
+def _emit(lpas, ppas, base, runs, p, q, exact, gamma, bounds, out) -> None:
+    """Fit points p..q-1 as one piece; exact says they are an exact run
+    (see _exact_runs), runs are the group's runs that reach into them."""
+    if q - p == 1:
+        out.append(_single_point(lpas[p] - base, ppas[p]))
         return
-    if exact:
-        seg = _fit_run(pts)
-        if seg is not None:
-            out.append(seg)
-            return
-    seg = _fit_approximate(pts, gamma, bounds)
+    seg = _fit_run(lpas, ppas, base, p, q) if exact else None
+    if seg is None:
+        seg = _fit_approximate(lpas, ppas, base, p, q, gamma, bounds)
     if seg is not None:
         out.append(seg)
         return
     # Quantization pushed a prediction out of tolerance; split and refit.
-    mid = len(pts) // 2
-    for half in (pts[:mid], pts[mid:]):
-        _learn_stretch(half, _run_ends(half), gamma, bounds, out)
-
-
-def _group_points(lpas, ppas, p, q, base) -> list:
-    """Points p..q-1 as (group offset, ppa) pairs."""
-    return list(zip([x - base for x in lpas[p:q]], ppas[p:q]))
-
-
-def _fit_long_run(lpas, ppas, s, b, base):
-    """Fit the exact run of points s..b as one accurate segment, retried
-    one point shorter while it does not fit and keeps RUN_MIN members.
-    Returns (first point, segment), or None."""
-    while b - s + 1 >= RUN_MIN:
-        span = lpas[b] - lpas[s]
-        seg = _unit_run(lpas[s] - base, ppas[s], span) if span == b - s else None
-        if seg is None:
-            seg = _fit_run(_group_points(lpas, ppas, s, b + 1, base))
-        if seg is not None:
-            return s, seg
-        s += 1
-    return None
-
-
-def _learn_leftover(lpas, ppas, runs, p, q, base, gamma, bounds, out) -> None:
-    """_learn_stretch over points p..q-1; runs reach into them."""
-    if q - p == 1:
-        out.append(_single_point(lpas[p] - base, ppas[p]))
-        return
-    pts = _group_points(lpas, ppas, p, q, base)
-    _learn_stretch(pts, _stretch_ends(runs, p, q), gamma, bounds, out)
+    mid = (p + q) // 2
+    _learn_stretch(lpas, ppas, base, runs, p, mid, gamma, bounds, out)
+    _learn_stretch(lpas, ppas, base, runs, mid, q, gamma, bounds, out)
 
 
 def _learn_group(lpas, ppas, d, lo, hi, gamma, bounds) -> list:
     """Segments of the group that holds points lo..hi-1 (two or more), in
     offset order.
 
-    Maximal exact runs of at least RUN_MIN members become accurate
-    segments, a stride-1 one without a member check (_unit_run); the
-    leftover stretches between them take the run ends of the runs that
-    reach into them.
+    A maximal exact run becomes an accurate segment over its longest
+    suffix of at least RUN_MIN members that fits, if any; the leftover
+    stretches between them take the runs that reach into them.
     """
     base = lpas[lo] - lpas[lo] % GROUP_SIZE
     out: list = []
@@ -561,21 +496,22 @@ def _learn_group(lpas, ppas, d, lo, hi, gamma, bounds) -> list:
         # a run whose first point ended the last segment starts one later
         if a < pending:
             a = pending
-        if b - a + 1 < RUN_MIN:
+        while b - a + 1 >= RUN_MIN:
+            seg = _fit_run(lpas, ppas, base, a, b + 1)
+            if seg is not None:
+                break
+            a += 1
+        else:
             continue
-        fit = _fit_long_run(lpas, ppas, a, b, base)
-        if fit is None:
-            continue
-        s, seg = fit
-        if pending < s:
-            _learn_leftover(
-                lpas, ppas, runs[k0 : k + 1], pending, s, base, gamma, bounds, out
+        if pending < a:
+            _learn_stretch(
+                lpas, ppas, base, runs[k0 : k + 1], pending, a, gamma, bounds, out
             )
         out.append(seg)
         pending = b + 1
         k0 = k + 1
     if pending < hi:
-        _learn_leftover(lpas, ppas, runs[k0:], pending, hi, base, gamma, bounds, out)
+        _learn_stretch(lpas, ppas, base, runs[k0:], pending, hi, gamma, bounds, out)
     return out
 
 

@@ -92,7 +92,7 @@ def test_criterion_01_gamma_bound_property():
             if not seg.accurate:
                 offsets = bm_members(seg.bm)
             else:
-                offsets = range(seg.start, seg.end + 1, seg.stride)
+                offsets = range(seg.start, seg.end + 1, seg.step)
             for off in offsets:
                 lpa = gid * GROUP_SIZE + off
                 pred = seg.predict(off)

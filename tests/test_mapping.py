@@ -20,7 +20,6 @@ from ftlsim.mapping import (
     Segment,
     _START,
     deserialize_group,
-    has_lpa,
     seg_merge,
     serialize_group,
 )
@@ -94,11 +93,11 @@ class TestHasLpaAndBitmap:
 
     def test_stride_membership(self):
         seg = self.seg_half()
-        assert has_lpa(seg, 100) and has_lpa(seg, 102)
-        assert has_lpa(seg, 104) and has_lpa(seg, 106)
-        assert not has_lpa(seg, 103)
-        assert not has_lpa(seg, 99)
-        assert not has_lpa(seg, 107)
+        assert seg.bm >> 100 & 1 and seg.bm >> 102 & 1
+        assert seg.bm >> 104 & 1 and seg.bm >> 106 & 1
+        assert not seg.bm >> 103 & 1
+        assert not seg.bm >> 99 & 1
+        assert not seg.bm >> 107 & 1
 
     def test_bitmap_stride(self):
         seg = self.seg_half()
@@ -112,15 +111,15 @@ class TestHasLpaAndBitmap:
     def test_approximate_membership_via_run(self):
         bits = quantize_slope(0.2, False) | 1
         seg = Segment(72, 8, bits, 0.2, 10.0, bitmap([72, 74, 80]))
-        assert has_lpa(seg, 72) and has_lpa(seg, 74) and has_lpa(seg, 80)
-        assert not has_lpa(seg, 76)
+        assert seg.bm >> 72 & 1 and seg.bm >> 74 & 1 and seg.bm >> 80 & 1
+        assert not seg.bm >> 76 & 1
         assert format(seg.bm >> 72, "09b")[::-1] == "101000001"
 
     def test_crb_run_membership(self):
         bits = quantize_slope(0.4, False) | 1
         seg = Segment(75, 7, bits, 0.4, 0.0, bitmap([75, 78, 80, 82]))
-        assert not has_lpa(seg, 76)
-        assert has_lpa(seg, 78)
+        assert not seg.bm >> 76 & 1
+        assert seg.bm >> 78 & 1
 
 
 class TestSegMerge:
@@ -352,16 +351,16 @@ def test_bm_matches_per_offset_loop(drawn):
     one's bm, built from start, length and slope, is its progression."""
     seg, run = drawn
     for off in range(GROUP_SIZE):
-        assert has_lpa(seg, off) == (off in run), off
+        assert seg.bm >> off & 1 == (off in run), off
     assert members(seg.bm) == run
 
 
 def linear_lookup(group, offset):
     """GroupTable.lookup by a scan down the levels that tests membership
-    with has_lpa instead of bisecting."""
+    with one bit of seg.bm instead of bisecting."""
     for li, level in enumerate(group.levels):
         for seg in level:
-            if has_lpa(seg, offset):
+            if seg.bm >> offset & 1:
                 ppa = math.ceil(seg.slope * offset + seg.intercept)
                 return ppa, seg.accurate, li + 1
     return None

@@ -5,6 +5,8 @@ learner it replaced (reference_plr.py)."""
 import math
 import random
 import struct
+from operator import sub
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,11 +15,12 @@ from hypothesis import strategies as st
 
 from ftlsim.plr import (
     GROUP_SIZE,
+    _exact_runs,
+    _f32,
     _f32_floor,
     _fit_run,
     _fits,
-    _run_ends,
-    _unit_run,
+    _stretch_ends,
     decode_slope,
     learn_segments,
     members,
@@ -31,7 +34,7 @@ def encoded_members(seg):
     it: the CRB run of an approximate segment, else every stride-th offset."""
     if not seg.accurate:
         return members(seg.bm)
-    return range(seg.start, seg.end + 1, seg.stride)
+    return range(seg.start, seg.end + 1, seg.step)
 
 
 def check_segments(pairs, points, gamma):
@@ -118,10 +121,9 @@ class TestExamples:
     def test_run_fit_survives_binary32_intercept_rounding(self):
         # the nearest binary32 intercept lies above the exact one and would
         # push the last member one page past its PPA
-        pts = [(0, 1000), (33, 1001)]
-        seg = _fit_run(pts)
+        seg = _fit_run([0, 33], [1000, 1001], 0, 0, 2)
         assert seg is not None and seg.accurate
-        assert [seg.predict(x) for x, _ in pts] == [1000, 1001]
+        assert [seg.predict(x) for x in (0, 33)] == [1000, 1001]
 
 
 @settings(max_examples=500, deadline=None)
@@ -174,13 +176,15 @@ class TestQuantizeSlope:
 class TestFits:
     def test_single_point_always_true(self):
         ((_, seg),) = learn_segments([(3, 42)], 0)
-        assert _fits(seg.slope, seg.intercept, [(3, 42)], 0, None)
+        assert _fits(seg.slope, seg.intercept, [3], [42], 0, 0, 1, 0, None)
 
     def test_out_of_bound_fit_rejected(self):
-        # slope 1, intercept 10 misses (4, 16) by gamma + 1
-        assert _fits(1.0, 10.0, [(0, 10), (4, 15)], 1, None)
-        assert not _fits(1.0, 10.0, [(0, 10), (4, 16)], 1, None)
-        assert not _fits(1.0, 10.0, [(0, 10), (4, 15)], 1, (10, 13))
+        # points 1..2 sit at offsets 0 and 4 of the group based at LPA 96;
+        # slope 1, intercept 10 misses PPA 16 at offset 4 by gamma + 1
+        lpas = [0, 96, 100]
+        assert _fits(1.0, 10.0, lpas, [0, 10, 15], 96, 1, 3, 1, None)
+        assert not _fits(1.0, 10.0, lpas, [0, 10, 16], 96, 1, 3, 1, None)
+        assert not _fits(1.0, 10.0, lpas, [0, 10, 15], 96, 1, 3, 1, (10, 13))
 
 
 def random_batch(rng, kind):
@@ -293,7 +297,18 @@ def lpa_ppa_batches(draw):
 @settings(max_examples=300, deadline=None)
 @given(lpa_ppa_batches())
 def test_run_ends_match_forward_scan(pts):
-    assert _run_ends(pts) == [run_end_brute(pts, j) for j in range(len(pts))]
+    """The batch's runs clipped to any sub-range p..q-1 give the run ends a
+    forward scan finds inside it, as do the runs of that range alone."""
+    n = len(pts)
+    lpas = [x for x, _ in pts]
+    ppas = [y for _, y in pts]
+    d = list(map(sub, lpas, range(n)))
+    runs = _exact_runs(lpas, ppas, d, 0, n)
+    for p in range(n):
+        for q in range(p + 1, n + 1):
+            want = [run_end_brute(pts[p:q], j) for j in range(q - p)]
+            assert _stretch_ends(runs, p, q) == want, (p, q)
+            assert _stretch_ends(_exact_runs(lpas, ppas, d, p, q), p, q) == want
 
 
 def all_fields(pairs):
@@ -376,6 +391,10 @@ def test_stride1_run_beyond_binary32_takes_the_checked_fit(offset, gamma):
     after it) gives the reference's segments."""
     first = 44 + offset
     pts = [(300 + i, first + i) for i in range(40)]  # offsets 44..83 of group 1
-    assert _unit_run(44, first, 39) is None
+    lpas, ppas = [x for x, _ in pts], [y for _, y in pts]
+    with mock.patch("ftlsim.plr._fits", wraps=_fits) as checked:
+        seg = _fit_run(lpas, ppas, GROUP_SIZE, 0, len(pts))
+    assert checked.called
+    assert seg is None or _f32(seg.intercept) == seg.intercept
     assert_matches_reference(pts, gamma, (first, first + 39))
     assert_matches_reference(pts, gamma)
