@@ -156,7 +156,7 @@ def cmd_compare(args):
 def cmd_learn_stats(args):
     """Feed the trace's writes through leaftl's flush path (reads skipped,
     no oracle) and describe the segments its table holds at the end,
-    resident or in the GMD."""
+    resident or evicted."""
     conf = _build_conf(args)
     events = _load_events(args, conf)
     ftl = sim.build_ftl("leaftl", conf)
@@ -167,7 +167,7 @@ def cmd_learn_stats(args):
     seg_lengths: dict = {}
     crb_sizes: dict = {}
     accurate = approximate = 0
-    for group in chain(ftl.table.groups.values(), ftl.gmd.values()):
+    for group in ftl.table.groups.values():
         for seg in chain.from_iterable(group.levels):
             seg_lengths[seg.length] = seg_lengths.get(seg.length, 0) + 1
             if seg.accurate:

@@ -8,10 +8,18 @@ buffer is sorted by LPA and programmed in block-sized chunks, each into its
 own flash block.  Subclasses implement the mapping structure behind a few
 hooks: _map_insert, _map_lookup and _map_peek, _invalidate_old (how a host
 flush finds and invalidates each LPA's previous copy, per programmed block),
-_true_ppa resolution cost, and accounting (mapping_bytes, and
-mapping_dram_bytes for what is resident).  A recovery replay needs no
+_true_ppa resolution cost, and mapping_bytes.  A recovery replay needs no
 hook: it finds each previous copy in its own OOB scan or, through the
 snapshot mapping and _true_ppa, in a block the snapshot still describes.
+
+Translation cache: a scheme caches its mapping's translation units (a
+leaftl group, a dftl/sftl translation page, keyed by LPA // LPAs per unit)
+in one LRU, tcache: unit key -> dirty, least recent first.  It sets
+tcache_budget, and unit_bytes if all units cost the same, else supplies
+_load_unit and _unload_unit, which return a unit's bytes (0 for a new
+unit: nothing to load).  _use_unit charges one translation read per load
+and _evict_units one write per dirty unit; a scheme calls _evict_units
+where it chooses, or sets evict_on_load.  mapping_dram_bytes is the sum.
 
 Latency convention: a buffered write acks in zero time; flush, GC, wear
 leveling and translation traffic accumulate in background_us.  A host read
@@ -42,6 +50,8 @@ class FtlBase:
     """
 
     name = "base"
+    unit_bytes = None  # every translation unit's bytes, when all are equal
+    evict_on_load = False  # a load evicts down to the budget at once
 
     def __init__(self, device: FlashDevice):
         self.conf = conf = device.conf
@@ -51,6 +61,9 @@ class FtlBase:
         self.buffer_pages = conf.buffer_pages
         self.cache: OrderedDict = OrderedDict()  # read cache, LRU first
         self.cache_cap = 0
+        self.tcache: OrderedDict = OrderedDict()  # unit key -> dirty, LRU first
+        self.tcache_bytes = 0
+        self.tcache_budget = conf.dram_bytes
         # counters
         self.host_writes = 0
         self.host_reads = 0
@@ -92,19 +105,46 @@ class FtlBase:
     def mapping_bytes(self) -> int:
         raise NotImplementedError
 
-    def mapping_dram_bytes(self) -> int:
-        raise NotImplementedError
-
     def _map_compact(self):
-        pass
-
-    def compact_mapping(self):
-        """Consolidate the mapping table now, as the periodic compaction
-        does."""
-        self._map_compact()
+        """Consolidate the mapping table now (periodically, and at a run's end)."""
 
     def _map_reset(self):
         raise NotImplementedError
+
+    # -- translation cache ---------------------------------------------------
+
+    def _use_unit(self, key, dirty):
+        """Make unit key the most recently used, loading it if it is not
+        resident; dirty marks it for a write-back."""
+        tcache = self.tcache
+        if key in tcache:
+            tcache.move_to_end(key)
+            if dirty:
+                tcache[key] = True
+            return
+        nbytes = self.unit_bytes or self._load_unit(key)
+        if nbytes:  # an empty unit has nothing to load
+            self.tcache_bytes += nbytes
+            self.translation_reads += 1
+            self.background_us += self.conf.read_us
+        tcache[key] = dirty
+        if self.evict_on_load:
+            self._evict_units()
+
+    def _evict_units(self):
+        """Evict least recently used units until the resident bytes fit
+        tcache_budget, charging one translation write per dirty unit."""
+        tcache = self.tcache
+        budget = self.tcache_budget  # >= 0, and an empty cache holds 0 bytes
+        while self.tcache_bytes > budget:
+            key, dirty = tcache.popitem(last=False)
+            self.tcache_bytes -= self.unit_bytes or self._unload_unit(key)
+            if dirty:
+                self.translation_writes += 1
+                self.background_us += self.conf.write_us
+
+    def mapping_dram_bytes(self) -> int:
+        return self.tcache_bytes
 
     # -- host interface -----------------------------------------------------
 
@@ -358,6 +398,8 @@ class FtlBase:
         gone.  Flash content survives."""
         self.buffer.clear()
         self.cache.clear()
+        self.tcache.clear()
+        self.tcache_bytes = 0
         self._map_reset()
         for blk in self.dev.blocks.values():
             if blk.valid_count:

@@ -2,19 +2,17 @@
 log-structured mapping table; mispredictions are corrected through the OOB
 reverse-mapping window of the predicted page.
 
-Group eviction: when the table outgrows its DRAM budget, least-recently-used
-groups are written to translation pages (modeled as a dedicated metadata
-region with counted latencies) and reloaded on demand through the global
-mapping directory (GMD).  The resident table is the LRU (table.groups, least
-recent first): a lookup moves its group to the end, and so does a host
-flush, which looks up each LPA's old copy to invalidate it; a flush also
-appends the groups it creates or reloads.  A GC or wear-levelling
-relocation maps its block without looking the LPAs up, so it leaves the
-resident groups in place.  The GMD keeps each evicted group's object:
-nothing updates an evicted group, and the encoding is lossless, so the
-object stands for its translation page.  An eviction is charged one
-translation write and a reload one translation read, but neither encodes
-nor decodes; a snapshot encodes the groups it persists.
+Group eviction: each 256-LPA group is a unit of FtlBase's translation
+cache, costing its accounted bytes, within dram_bytes.  table.groups holds
+every group.  A lookup, and a host flush looking up old copies, makes its
+group the most recent, reloading it if evicted; _map_insert reloads or
+starts (uncharged) the groups a block maps into but leaves resident ones
+in place, so a GC or wear-levelling relocation moves none.  Eviction runs
+only after _map_insert, and every group counts as dirty: each eviction is
+charged a translation write, each reload a read.  The GMD lists evicted
+groups in eviction order; nothing updates them and the encoding is
+lossless, so a group's object stands for its translation page and only a
+snapshot encodes.
 
 The encoding stores intercepts as binary32, which holds every integer only
 up to 2**24, and a single-point segment's intercept is its PPA.  So the
@@ -29,6 +27,7 @@ The restored LRU order is the recency at the snapshot.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from itertools import chain
 from operator import itemgetter
 
@@ -60,7 +59,7 @@ class LeaFtl(FtlBase):
                 f"the device has {pages}"
             )
         self.table = MappingTable()
-        self.gmd: dict = {}  # gid -> evicted GroupTable
+        self.gmd: dict = {}  # evicted gid -> None, in eviction order
         self.snap = None
         super().__init__(device)
 
@@ -71,105 +70,78 @@ class LeaFtl(FtlBase):
         pts = list(zip(map(itemgetter(0), entries), range(first_ppa, first_ppa + n)))
         fitted = learn_segments(pts, self.conf.gamma, (first_ppa, first_ppa + n - 1))
         # every touched group must be resident before its segments land;
-        # each one has a segment, and the segments come in LPA order
-        seen = -1
-        for gid, _ in fitted:
-            if gid != seen:
-                seen = gid
-                self._require_group(gid)
-        self.table.insert_fitted(fitted)
-        self._enforce_dram()
+        # fitted comes in LPA order, so new groups join in gid order
+        tcache = self.tcache
+        for gid in dict.fromkeys(map(itemgetter(0), fitted)):
+            if gid not in tcache:
+                self._use_unit(gid, True)
+        table = self.table
+        before = table.total_bytes
+        table.insert_fitted(fitted)
+        # the groups an insert changes are resident
+        self.tcache_bytes += table.total_bytes - before
+        self._evict_units()
 
     def _map_lookup(self, lpa):
-        group = self._use_group(lpa // GROUP_SIZE)
+        gid = lpa // GROUP_SIZE
+        group = self.table.groups.get(gid)
         if group is None:
             return None
+        self._use_unit(gid, True)
         return group.lookup(lpa % GROUP_SIZE)
 
     def _invalidate_old(self, entries):
         """Invalidate each flushed LPA's previous copy, using each group
         once: the entries are sorted, so a group's LPAs are adjacent."""
         dev = self.dev
+        groups = self.table.groups
         seen = -1
         group = None
         for lpa, _ in entries:
             gid = lpa // GROUP_SIZE
             if gid != seen:
                 seen = gid
-                group = self._use_group(gid)
+                group = groups.get(gid)
+                if group is not None:
+                    self._use_unit(gid, True)
             if group is not None:
                 res = group.lookup(lpa % GROUP_SIZE)
                 if res is not None:
                     dev.invalidate_page(self._true_ppa(lpa, res[0], res[1]))
 
     def _map_peek(self, lpa):
-        """Look lpa up in its resident or evicted group: no LRU move, no
+        """Look lpa up in its group, resident or evicted: no LRU move, no
         reload, no charge."""
-        gid = lpa // GROUP_SIZE
-        group = self.table.groups.get(gid)
+        group = self.table.groups.get(lpa // GROUP_SIZE)
         if group is None:
-            group = self.gmd.get(gid)
-            if group is None:
-                return None
+            return None
         res = group.lookup(lpa % GROUP_SIZE)
         return None if res is None else res[:2]
 
     def mapping_bytes(self) -> int:
-        return self.table.total_bytes + GMD_ENTRY_BYTES * len(self.gmd)
+        return self.tcache_bytes + GMD_ENTRY_BYTES * len(self.gmd)
 
     def _map_compact(self):
-        self.table.compact()
+        # an evicted group is compacted after its reload
+        table = self.table
+        before = table.total_bytes
+        table.compact(self.tcache)
+        self.tcache_bytes += table.total_bytes - before
 
     def _map_reset(self):
         self.table = MappingTable()
         self.gmd = {}
 
-    # -- group residency -------------------------------------------------------
+    def _load_unit(self, gid):
+        # reload an evicted group, or start a new, empty one
+        if gid in self.gmd:
+            del self.gmd[gid]
+            return self.table.groups[gid].cached_bytes
+        return self.table.group(gid).cached_bytes
 
-    def _use_group(self, gid):
-        """The group a lookup reads, as the most recently used: a resident
-        one moves to the end of the LRU, an evicted one is reloaded there.
-        None when gid has no mapping."""
-        groups = self.table.groups
-        group = groups.get(gid)
-        if group is not None:
-            groups.move_to_end(gid)
-            return group
-        if gid not in self.gmd:
-            return None
-        self._require_group(gid)
-        return groups[gid]
-
-    def _require_group(self, gid):
-        """Make gid resident; a reloaded or new group joins the LRU as the
-        most recent, a resident one keeps its place."""
-        group = self.gmd.pop(gid, None)
-        if group is None:
-            self.table.group(gid)
-            return
-        self.table.add_group(gid, group)
-        self.translation_reads += 1
-        self.background_us += self.conf.read_us
-
-    def evict_group(self, gid):
-        """Write one group to a translation page and drop it from DRAM; the
-        GMD keeps the group object, which stands for that page."""
-        group = self.table.drop_group(gid)
-        if group is None:
-            return
-        self.gmd[gid] = group
-        self.translation_writes += 1
-        self.background_us += self.conf.write_us
-
-    def _enforce_dram(self):
-        budget = self.conf.dram_bytes
-        table = self.table
-        groups = table.groups
-        while table.total_bytes > budget and groups:
-            self.evict_group(next(iter(groups)))
-
-    def mapping_dram_bytes(self) -> int:
-        return self.table.total_bytes
+    def _unload_unit(self, gid):
+        self.gmd[gid] = None
+        return self.table.groups[gid].cached_bytes
 
     # -- snapshot / recovery ------------------------------------------------------
 
@@ -177,8 +149,8 @@ class LeaFtl(FtlBase):
         """Persist the mapping table and block validity to flash."""
         # evicted groups first, then resident ones least recent first:
         # recovery restores the groups in this order, which is their LRU order
-        groups = chain(self.gmd.items(), self.table.groups.items())
-        blobs = {gid: serialize_group(group) for gid, group in groups}
+        groups = self.table.groups
+        blobs = {gid: serialize_group(groups[gid]) for gid in chain(self.gmd, self.tcache)}
         validity = {
             bid: (blk.program_seq, blk.valid[:])
             for bid, blk in self.dev.programmed_blocks()
@@ -198,6 +170,8 @@ class LeaFtl(FtlBase):
         self._map_reset()
         for gid, blob in snap.blobs.items():
             self.table.add_group(gid, deserialize_group(blob))
+        self.tcache = OrderedDict.fromkeys(snap.blobs, True)
+        self.tcache_bytes = self.table.total_bytes
         self.translation_reads += len(snap.blobs)
         self.background_us += len(snap.blobs) * self.conf.read_us
         return snap.validity

@@ -36,7 +36,6 @@ import math
 import operator
 import struct
 from bisect import bisect_right, insort_right
-from collections import OrderedDict
 from typing import Iterable
 
 from .plr import GROUP_SIZE, Segment, decode_slope, members, progression
@@ -102,8 +101,8 @@ class GroupTable:
     to date by every update, so bytes() walks neither the runs nor the
     levels.  The encoding is lossless for PPAs below 2**24:
     deserialize_group(serialize_group(group)) rebuilds the group field for
-    field, so a holder of a group nothing updates (leaftl's GMD) keeps the
-    object and encodes it only when it needs the bytes, for a snapshot.
+    field, so a holder of a group nothing updates (an evicted leaftl
+    group) keeps the object and encodes it only for a snapshot.
     dirty says whether seg_update ran since the last compaction; a new or
     deserialized group starts dirty, and MappingTable.compact skips a clean
     one, which compaction would leave as it is.
@@ -256,15 +255,14 @@ class GroupTable:
 
 
 class MappingTable:
-    """The resident groups of one device, with incremental byte accounting.
-
-    groups is ordered least recently used first: a new or added group
-    joins at the end, and a holder that evicts by recency (leaftl) moves a
-    group it uses to the end.
+    """The groups of one device, gid -> GroupTable, with incremental byte
+    accounting: total_bytes is the sum of every group's cached_bytes.
+    Which groups are resident in DRAM is the holder's concern (leaftl's
+    translation cache); the table keeps evicted groups too.
     """
 
     def __init__(self):
-        self.groups: OrderedDict = OrderedDict()
+        self.groups: dict = {}
         self.total_bytes = 0
 
     def _touch(self, gid, group):
@@ -294,24 +292,20 @@ class MappingTable:
             return None
         return group.lookup(lpa % GROUP_SIZE)
 
-    def compact(self):
-        """Compact every group updated since its last compaction; a clean
-        group would come out unchanged."""
-        for gid, group in self.groups.items():
+    def compact(self, gids=None):
+        """Compact every group of gids (default: all) updated since its last
+        compaction; a clean group would come out unchanged."""
+        groups = self.groups
+        for gid in groups if gids is None else gids:
+            group = groups[gid]
             if group.dirty:
                 group.seg_compact()
                 self._touch(gid, group)
 
     def add_group(self, gid, group):
-        """Make a (deserialized) group resident; the pair of drop_group."""
+        """Add a (deserialized) group that gid does not have yet."""
         self.groups[gid] = group
         self.total_bytes += group.cached_bytes
-
-    def drop_group(self, gid):
-        group = self.groups.pop(gid, None)
-        if group is not None:
-            self.total_bytes -= group.cached_bytes
-        return group
 
     def memory_footprint(self) -> dict:
         seg_bytes = 0

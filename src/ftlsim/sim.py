@@ -108,7 +108,7 @@ def run(
     # periodic compaction.  The oracle scan below runs after it, so the
     # consolidated table is also verified for correctness; it peeks, so
     # it moves no counter the document reports.
-    ftl.compact_mapping()
+    ftl._map_compact()
     if oracle:
         peek = ftl.peek
         for lpa, want in latest.items():

@@ -19,6 +19,7 @@ from ftlsim.leaftl import LeaFtl
 from ftlsim.mapping import GROUP_SIZE, deserialize_group, serialize_group
 from ftlsim.sim import build_ftl
 from ftlsim.workload import TraceEvent, synth
+from reference_tpage_cache import ReferenceDftl, ReferenceSftl
 
 KINDS = {"leaftl": LeaFtl, "dftl": Dftl, "sftl": Sftl}
 
@@ -40,6 +41,16 @@ def make(kind, gamma=0, **kw):
     # a one-block buffer of the geometry built, unless the test sizes it
     defaults.setdefault("buffer_bytes", defaults["pages_per_block"] * defaults["page_size"])
     return build_ftl(kind, Config(**defaults))
+
+
+def evict(ftl, key):
+    """Evict unit key alone from the translation cache: make it the least
+    recently used and shrink the budget below the resident bytes."""
+    ftl.tcache.move_to_end(key, last=False)
+    budget = ftl.tcache_budget
+    ftl.tcache_budget = ftl.tcache_bytes - 1
+    ftl._evict_units()
+    ftl.tcache_budget = budget
 
 
 def fill(ftl, lpas, payload_base=0):
@@ -543,31 +554,32 @@ class TestLeaFtlSpecifics:
         fill(ftl, list(range(64)) + [100, 103, 105, 110] + list(range(200, 228)))
         before = {lpa: ftl.table.lookup(lpa) for lpa in range(64)}
         tw = ftl.translation_writes
-        ftl.evict_group(0)
+        evict(ftl, 0)
         assert ftl.translation_writes == tw + 1
-        assert 0 not in ftl.table.groups
+        assert list(ftl.gmd) == [0] and 0 not in ftl.tcache
         tr = ftl.translation_reads
         bg = ftl.background_us
-        ftl._require_group(0)
+        ftl._use_unit(0, True)
         assert ftl.translation_reads == tr + 1
         assert ftl.background_us == bg + ftl.conf.read_us
         for lpa, want in before.items():
             assert ftl.table.lookup(lpa) == want
         table = ftl.table
         assert table.total_bytes == sum(g.cached_bytes for g in table.groups.values())
+        assert ftl.tcache_bytes == table.total_bytes and not ftl.gmd
 
     def test_lookup_of_evicted_group_reloads_transparently(self):
         ftl = make("leaftl")
         fill(ftl, range(64))
-        ftl.evict_group(0)
+        evict(ftl, 0)
         got, _ = ftl.read(10)
         assert got == 10
-        assert 0 in ftl.table.groups
+        assert 0 in ftl.tcache
 
     def test_dram_budget_evicts_lru_groups(self):
         ftl = make("leaftl", dram_bytes=256)  # tiny mapping budget
         fill(ftl, range(4096))
-        assert ftl.table.total_bytes <= 256
+        assert ftl.tcache_bytes <= 256
         assert len(ftl.gmd) > 0
         got, _ = ftl.read(3)  # evicted group still readable
         assert got == 3
@@ -583,21 +595,21 @@ class TestLeaFtlSpecifics:
         ftl = make("leaftl", dram_bytes=48)
         lpas = list(range(32)) + list(range(GROUP_SIZE, GROUP_SIZE + 32))
         committed = fill(ftl, lpas)
-        assert list(ftl.table.groups) == [0, 1]
-        assert ftl.table.total_bytes == 48
+        assert list(ftl.tcache) == [0, 1]
+        assert ftl.tcache_bytes == 48
         if touch == "lookup":
             assert ftl.read(5)[0] == 5
             victim = 1
         elif touch == "overwrite":
             fill(ftl, range(32), payload_base=100)
-            assert list(ftl.table.groups) == [1, 0]
+            assert list(ftl.tcache) == [1, 0]
             victim = 1
         else:
             ftl._program_batch(committed[:32], ftl.dev.allocate_block())
             victim = 0
         fill(ftl, range(2 * GROUP_SIZE, 2 * GROUP_SIZE + 32))
         assert list(ftl.gmd) == [victim]
-        assert list(ftl.table.groups) == [1 - victim, 2]
+        assert list(ftl.tcache) == [1 - victim, 2]
 
     def test_crash_right_after_snapshot_relearns_nothing(self):
         ftl = make("leaftl")
@@ -789,15 +801,99 @@ def test_block_invalidation_matches_per_page_lookups(
     assert sim.to_json(doc) == sim.to_json(want)
 
 
-class _DecodingLeaFtl(LeaFtl):
-    """Reloads an evicted group by encoding and decoding it, as a device
-    would write the translation page and read it back."""
+@pytest.mark.parametrize(
+    "kind,reference", [("dftl", ReferenceDftl), ("sftl", ReferenceSftl)]
+)
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=trace_ops,
+    dram=st.integers(1, 5 * 256 - 1),
+    crash_pct=st.integers(1, 99),
+    fill_stride=st.integers(1, 2),
+)
+def test_translation_cache_matches_the_page_cache_reference(
+    kind, reference, ops, dram, crash_pct, fill_stride
+):
+    """FtlBase's translation cache, with dftl/sftl's data (page_size per
+    page, a budget of whole pages and at least one), gives the document of
+    the page cache dftl and sftl kept themselves (reference_tpage_cache.py)
+    at caches of one to four pages, dram_bytes below one page included,
+    across forced GC and a crash."""
+    conf = Config(
+        **TINY_TPAGES,
+        blocks_per_channel=16,
+        pages_per_block=32,
+        dram_bytes=dram,
+        snapshot_on_gc=False,
+    )
+    events = [TraceEvent(0, "w", lpa, 1) for lpa in range(0, 409, fill_stride)]
+    events += [TraceEvent(0, op, lpa, 1) for op, lpa in ops]
+    kw = dict(force_gc_every=500, crash_at=max(1, len(events) * crash_pct // 100))
+    doc = sim.run(kind, conf, events, **kw)
+    reference.last = None
+    with mock.patch.dict(sim.FTL_KINDS, {kind: reference}):
+        want = sim.run(kind, conf, events, **kw)
+    assert reference.last.own_touches > 0
+    assert want["crashes"] == 1 and want["counters"]["translation_writes"] > 0
+    assert sim.to_json(doc) == sim.to_json(want)
 
-    def _require_group(self, gid):
-        group = self.gmd.get(gid)
-        if group is not None:
-            self.gmd[gid] = deserialize_group(serialize_group(group))
-        super()._require_group(gid)
+
+class _SeparateLruLeaFtl(LeaFtl):
+    """Keeps the LRU order in an OrderedDict of its own beside the
+    translation cache and evicts from it with a loop of its own, charging
+    a translation write per eviction, as leaftl did before FtlBase owned
+    the cache; the cache's own eviction never runs.  A crash empties the
+    order and a recovery rebuilds it in snapshot order."""
+
+    last = None  # the instance built last, set on the concrete class
+
+    def __init__(self, device):
+        self._lru = OrderedDict()  # resident gid -> True, least recent first
+        self.own_evictions = 0
+        super().__init__(device)
+        type(self).last = self
+
+    def _use_unit(self, gid, dirty):
+        # every lookup, by a read, a flush or a recovery, goes through here
+        self._lru[gid] = True
+        self._lru.move_to_end(gid)
+        return super()._use_unit(gid, dirty)
+
+    def _evict_units(self):
+        budget = self.conf.dram_bytes
+        while self.tcache_bytes > budget and self._lru:
+            gid, _ = self._lru.popitem(last=False)
+            del self.tcache[gid]
+            self.tcache_bytes -= self._unload_unit(gid)
+            self.translation_writes += 1
+            self.background_us += self.conf.write_us
+            self.own_evictions += 1
+
+    def _map_reset(self):
+        super()._map_reset()
+        self._lru = OrderedDict()
+
+    def _restore_snapshot(self):
+        validity = super()._restore_snapshot()
+        self._lru = OrderedDict.fromkeys(self.tcache, True)
+        return validity
+
+
+class _DecodingLeaFtl(_SeparateLruLeaFtl):
+    """Reloads an evicted group by encoding and decoding it, as a device
+    would write the translation page and read it back; its LRU is the
+    separately kept one above."""
+
+    def __init__(self, device):
+        self.decoded = 0
+        super().__init__(device)
+
+    def _load_unit(self, gid):
+        groups = self.table.groups
+        if gid in self.gmd:
+            groups[gid] = deserialize_group(serialize_group(groups[gid]))
+            self.decoded += 1
+        return super()._load_unit(gid)
 
 
 @settings(max_examples=25, deadline=None)
@@ -811,7 +907,8 @@ class _DecodingLeaFtl(LeaFtl):
 def test_group_reload_keeps_the_evicted_object(synth_kind, seed, gamma, dram, crash):
     """A reload re-adds the evicted group object instead of decoding its
     encoding; with a DRAM budget of a few hundred bytes, groups evict and
-    reload inside every flush, and the document equals that of decoding."""
+    reload inside every flush, and the document equals that of decoding
+    (with the separately kept LRU, across a crash too)."""
     conf = Config(
         channels=2,
         blocks_per_channel=32,
@@ -827,9 +924,12 @@ def test_group_reload_keeps_the_evicted_object(synth_kind, seed, gamma, dram, cr
     events = synth(synth_kind, 3000, 2048, seed=seed, read_ratio=0.4)
     crash_at = 2500 if crash else None
     doc = sim.run("leaftl", conf, events, crash_at=crash_at)
+    _DecodingLeaFtl.last = None
     with mock.patch.dict(sim.FTL_KINDS, {"leaftl": _DecodingLeaFtl}):
         want = sim.run("leaftl", conf, events, crash_at=crash_at)
     assert doc["counters"]["translation_reads"] > 0
+    assert _DecodingLeaFtl.last.decoded > 0
+    assert _DecodingLeaFtl.last.own_evictions > 0
     assert sim.to_json(doc) == sim.to_json(want)
 
 
@@ -856,46 +956,6 @@ def test_eviction_encodes_nothing():
     assert spy.call_count == 0
 
 
-class _SeparateLruLeaFtl(LeaFtl):
-    """Keeps the LRU order in an OrderedDict of its own beside the resident
-    table, as leaftl did before the table became its LRU.  It does not
-    rebuild that order on recovery, so it is compared without crashes."""
-
-    def __init__(self, device):
-        self._lru = OrderedDict()  # resident gid -> True, least recent first
-        super().__init__(device)
-
-    def _use_group(self, gid):
-        # every lookup, by a read, a flush or a recovery, goes through here
-        if gid in self._lru:
-            self._lru.move_to_end(gid)
-        elif gid in self.gmd:
-            self._require_group(gid)
-        else:
-            return None
-        return self.table.groups[gid]
-
-    def _require_group(self, gid):
-        if gid in self.table.groups:
-            return
-        group = self.gmd.pop(gid, None)
-        if group is not None:
-            self.table.add_group(gid, group)
-            self.translation_reads += 1
-            self.background_us += self.conf.read_us
-        self._lru[gid] = True
-
-    def evict_group(self, gid):
-        super().evict_group(gid)
-        self._lru.pop(gid, None)
-
-    def _enforce_dram(self):
-        budget = self.conf.dram_bytes
-        while self.table.total_bytes > budget and self._lru:
-            gid, _ = self._lru.popitem(last=False)
-            self.evict_group(gid)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     synth_kind=st.sampled_from(["zipf", "random"]),
@@ -905,8 +965,8 @@ class _SeparateLruLeaFtl(LeaFtl):
 )
 def test_resident_table_order_is_the_lru(synth_kind, seed, gamma, dram):
     """With a DRAM budget of a few hundred bytes, groups evict and reload
-    inside every flush; evicting from the front of the resident table gives
-    the same document as a separately kept LRU."""
+    inside every flush; evicting from the front of the translation cache
+    gives the same document as a separately kept LRU."""
     conf = Config(
         channels=2,
         blocks_per_channel=32,
@@ -921,9 +981,11 @@ def test_resident_table_order_is_the_lru(synth_kind, seed, gamma, dram):
     )
     events = synth(synth_kind, 3000, 2048, seed=seed, read_ratio=0.4)
     doc = sim.run("leaftl", conf, events)
+    _SeparateLruLeaFtl.last = None
     with mock.patch.dict(sim.FTL_KINDS, {"leaftl": _SeparateLruLeaFtl}):
         want = sim.run("leaftl", conf, events)
     assert doc["counters"]["translation_reads"] > 0
+    assert _SeparateLruLeaFtl.last.own_evictions > 0
     assert sim.to_json(doc) == sim.to_json(want)
 
 
@@ -942,14 +1004,15 @@ def test_leaftl_refuses_a_device_beyond_binary32_ppas():
 
 def _observable_state(ftl):
     """Everything a peek could move: the reported counters, the read cache,
-    and the translation caches (dftl/sftl's page LRU, leaftl's resident
-    groups in LRU order and its GMD)."""
-    state = [ftl.counters(), ftl.background_us, list(ftl.cache.items())]
-    if isinstance(ftl, LeaFtl):
-        state += [list(ftl.table.groups), sorted(ftl.gmd)]
-    else:
-        state.append(list(ftl.tcache.items()))
-    return state
+    and the translation cache (resident units in LRU order with their dirty
+    flags, and their bytes)."""
+    return [
+        ftl.counters(),
+        ftl.background_us,
+        list(ftl.cache.items()),
+        list(ftl.tcache.items()),
+        ftl.tcache_bytes,
+    ]
 
 
 @pytest.mark.parametrize(
@@ -977,7 +1040,7 @@ def test_peek_resolves_every_lpa_and_moves_nothing(kind, dram):
             latest[lpa] = i
     assert ftl.buffer
     if dram == 4000:
-        assert ftl.gmd and len(ftl.table.groups) > 1
+        assert ftl.gmd and len(ftl.tcache) > 1
     elif dram == 8192:
         assert len(ftl.tcache) == 2
     else:
