@@ -10,15 +10,16 @@ from ftlsim.mapping import MappingTable
 from ftlsim.plr import learn_segments
 
 
-def insert(table, pts, gamma):
-    table.insert_fitted(learn_segments(pts, gamma))
+def insert(table, lpas, first_ppa, gamma):
+    """Map one programmed block: lpas[i] went to PPA first_ppa + i."""
+    table.insert_fitted(learn_segments(lpas, first_ppa, gamma))
 
 
 table = MappingTable()
 
 # Two overlapping generations of writes to group 0.
-insert(table, [(75, 500), (78, 501), (80, 502), (82, 503)], gamma=4)
-insert(table, [(72, 600), (74, 601), (80, 602)], gamma=4)
+insert(table, [75, 78, 80, 82], 500, gamma=4)
+insert(table, [72, 74, 80], 600, gamma=4)
 
 group = table.groups[0]
 print("levels after overlapping inserts:", len(group.levels))
@@ -32,7 +33,7 @@ for lpa in (80, 78):
     print(f"lookup({lpa}) -> ppa={ppa} accurate={accurate} level={level}")
 
 # Overwrite everything; the old segments become garbage...
-insert(table, [(70 + i, 700 + i) for i in range(16)], gamma=4)
+insert(table, list(range(70, 86)), 700, gamma=4)
 print("\nbytes before compaction:", table.total_bytes)
 before = {lpa: table.lookup(70 + lpa)[:2] for lpa in range(16)}
 

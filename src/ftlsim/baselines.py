@@ -9,13 +9,13 @@ each load (evict_on_load).  Sftl uses the same caching but compresses each
 page's entries into extent runs (consecutive LPAs mapped to consecutive
 PPAs), so its mapping costs 8 bytes per run instead of 8 bytes per entry.
 
-Both update the map one programmed block at a time.  A block's entries are
-sorted by LPA, so each translation page is touched once per run of entries
-that share it, when the block is mapped and when a host flush invalidates
-the entries' previous copies.  Neither keeps a snapshot, so a recovery
+Both update the map one programmed block at a time.  A block's LPAs are
+sorted, so each translation page is touched once per run of LPAs that share
+it, when the block is mapped and when a host flush invalidates the LPAs'
+previous copies.  Neither keeps a snapshot, so a recovery
 replays every programmed block and finds each previous copy in its own OOB
 scan, with no map lookup.  Sftl keeps its run count in the same pass that
-maps the block: each entry's old PPA is read once, and an outside
+maps the block: each LPA's old PPA is read once, and an outside
 neighbour's PPA once at each edge of a run of consecutive LPAs.
 """
 
@@ -42,30 +42,30 @@ class _TpageCachingFtl(FtlBase):
     # for the call sites and for bench/tracer.py, which times it
     _touch_tpage = FtlBase._use_unit
 
-    def _map_insert(self, entries, first_ppa):
-        """Map sorted entries to consecutive PPAs from first_ppa.  Touching
-        the page just touched again changes nothing (it is the most recent
-        entry of a cache of at least one page), so each translation page is
-        touched once per run of entries that share it."""
+    def _map_insert(self, lpas, first_ppa):
+        """Map sorted LPAs to consecutive PPAs from first_ppa.  Touching the
+        page just touched again changes nothing (it is the most recent entry
+        of a cache of at least one page), so each translation page is
+        touched once per run of LPAs that share it."""
         m = self.map
         per = self.entries_per_tpage
         last_tvpn = -1
-        for ppa, (lpa, _) in enumerate(entries, first_ppa):
+        for ppa, lpa in enumerate(lpas, first_ppa):
             m[lpa] = ppa
             tvpn = lpa // per
             if tvpn != last_tvpn:
                 last_tvpn = tvpn
                 self._touch_tpage(tvpn, dirty=True)
 
-    def _invalidate_old(self, entries):
+    def _invalidate_old(self, lpas):
         """Invalidate the previous copy of each mapped LPA of a host flush.
         Charges what a _map_lookup per mapped LPA would: one clean touch per
-        run of mapped entries that share a translation page."""
+        run of mapped LPAs that share a translation page."""
         m = self.map
         per = self.entries_per_tpage
         invalidate = self.dev.invalidate_page
         last_tvpn = -1
-        for lpa, _ in entries:
+        for lpa in lpas:
             old = m.get(lpa)
             if old is None:
                 continue
@@ -106,10 +106,10 @@ class Sftl(_TpageCachingFtl):
         self._joins = 0
         super().__init__(device)
 
-    def _map_insert(self, entries, first_ppa):
-        """Map the block and keep _joins exact in the same pass.  Entries
-        must be sorted by LPA, strictly increasing, as every caller programs
-        them; they go to consecutive PPAs from first_ppa.  Only pairs with a
+    def _map_insert(self, lpas, first_ppa):
+        """Map the block and keep _joins exact in the same pass.  The LPAs
+        must be sorted, strictly increasing, as every caller programs them;
+        they go to consecutive PPAs from first_ppa.  Only pairs with a
         member in the block can change.  A pair with both members in the
         block is joined after the update by construction, so only its old
         PPAs are compared.  At a run edge the outside neighbour, which the
@@ -125,8 +125,8 @@ class Sftl(_TpageCachingFtl):
         touch = self._touch_tpage
         joins = self._joins
         last_tvpn = -1
-        prev = prev_old = -2  # the previous entry's LPA and old PPA
-        for ppa, (lpa, _) in enumerate(entries, first_ppa):
+        prev = prev_old = -2  # the previous LPA and its old PPA
+        for ppa, lpa in enumerate(lpas, first_ppa):
             old = get(lpa, -2)
             m[lpa] = ppa
             tvpn = lpa // per
@@ -147,7 +147,7 @@ class Sftl(_TpageCachingFtl):
                     touch(tvpn, dirty=True)
             prev = lpa
             prev_old = old
-        # the last entry's right neighbour, outside the block
+        # the last LPA's right neighbour, outside the block
         if prev >= 0 and (prev + 1) % per:
             nb = get(prev + 1, -2)
             joins += (nb - ppa == 1) - (nb - prev_old == 1)

@@ -6,11 +6,13 @@ comparable): host writes land in a DRAM buffer (last-writer-wins); when it
 holds buffer_bytes worth of LPAs, rounded down to whole blocks, the whole
 buffer is sorted by LPA and programmed in block-sized chunks, each into its
 own flash block.  Subclasses implement the mapping structure behind a few
-hooks: _map_insert, _map_lookup and _map_peek, _invalidate_old (how a host
-flush finds and invalidates each LPA's previous copy, per programmed block),
-_true_ppa resolution cost, and mapping_bytes.  A recovery replay needs no
-hook: it finds each previous copy in its own OOB scan or, through the
-snapshot mapping and _true_ppa, in a block the snapshot still describes.
+hooks: _map_insert(lpas, first_ppa) (map a programmed block, its sorted
+LPAs at consecutive PPAs), _map_lookup and _map_peek, _invalidate_old(lpas)
+(how a host flush finds and invalidates each LPA's previous copy, per
+programmed block), _true_ppa resolution cost, and mapping_bytes.  A
+recovery replay needs no hook: it finds each previous copy in its own OOB
+scan or, through the snapshot mapping and _true_ppa, in a block the
+snapshot still describes.
 
 Translation cache: a scheme caches its mapping's translation units (a
 leaftl group, a dftl/sftl translation page, keyed by LPA // LPAs per unit)
@@ -89,7 +91,9 @@ class FtlBase:
 
     # -- mapping hooks (subclass responsibility) ---------------------------
 
-    def _map_insert(self, entries, first_ppa):
+    def _map_insert(self, lpas, first_ppa):
+        """Map a programmed block: lpas sorted, strictly increasing, lpas[i]
+        at PPA first_ppa + i."""
         raise NotImplementedError
 
     def _map_lookup(self, lpa):
@@ -274,17 +278,18 @@ class FtlBase:
             dest = dev.allocate_block()
         first_ppa, elapsed = dev.program_block(dest, entries)
         self.background_us += elapsed
+        lpas = dev.blocks[dest].lpas
         if relocation:
-            self.gc_writes += len(entries)
-            self._writes_since_compact += len(entries)
+            self.gc_writes += len(lpas)
+            self._writes_since_compact += len(lpas)
         else:
-            self._invalidate_old(entries)
-        self._map_insert(entries, first_ppa)
+            self._invalidate_old(lpas)
+        self._map_insert(lpas, first_ppa)
 
-    def _invalidate_old(self, entries):
+    def _invalidate_old(self, lpas):
         """Invalidate the previous copy of each LPA of a host flush."""
         dev = self.dev
-        for lpa, _ in entries:
+        for lpa in lpas:
             res = self._map_lookup(lpa)
             if res is not None:
                 dev.invalidate_page(self._true_ppa(lpa, res[0], res[1]))
@@ -446,9 +451,9 @@ class FtlBase:
         read_page = dev.read_page
         per = self.pages_per_block
         base = bid * per
-        entries = []
-        for ppa in range(base, base + len(blk.lpas)):
-            lpa, payload, elapsed = read_page(ppa)
+        n = len(blk.lpas)
+        for ppa in range(base, base + n):
+            lpa, _, elapsed = read_page(ppa)
             self.background_us += elapsed
             old = replayed.get(lpa)
             if old is None and kept:
@@ -458,11 +463,9 @@ class FtlBase:
             if old is not None:
                 dev.invalidate_page(old)
             replayed[lpa] = ppa
-            entries.append((lpa, payload))
-        n = len(entries)
         blk.valid = [True] * n
         blk.valid_count = n
-        self._map_insert(entries, base)
+        self._map_insert(blk.lpas, base)
         self.blocks_relearned += 1
 
     # -- metrics ----------------------------------------------------------------

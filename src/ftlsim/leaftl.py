@@ -65,10 +65,8 @@ class LeaFtl(FtlBase):
 
     # -- mapping hooks -------------------------------------------------------
 
-    def _map_insert(self, entries, first_ppa):
-        n = len(entries)
-        pts = list(zip(map(itemgetter(0), entries), range(first_ppa, first_ppa + n)))
-        fitted = learn_segments(pts, self.conf.gamma, (first_ppa, first_ppa + n - 1))
+    def _map_insert(self, lpas, first_ppa):
+        fitted = learn_segments(lpas, first_ppa, self.conf.gamma)
         # every touched group must be resident before its segments land;
         # fitted comes in LPA order, so new groups join in gid order
         tcache = self.tcache
@@ -90,14 +88,14 @@ class LeaFtl(FtlBase):
         self._use_unit(gid, True)
         return group.lookup(lpa % GROUP_SIZE)
 
-    def _invalidate_old(self, entries):
+    def _invalidate_old(self, lpas):
         """Invalidate each flushed LPA's previous copy, using each group
-        once: the entries are sorted, so a group's LPAs are adjacent."""
+        once: the LPAs are sorted, so a group's LPAs are adjacent."""
         dev = self.dev
         groups = self.table.groups
         seen = -1
         group = None
-        for lpa, _ in entries:
+        for lpa in lpas:
             gid = lpa // GROUP_SIZE
             if gid != seen:
                 seen = gid

@@ -1,4 +1,4 @@
-"""Gamma-bounded piecewise linear fitting of (LPA, PPA) batches.
+"""Gamma-bounded piecewise linear fitting of programmed flash blocks.
 
 Segment is the one segment type: the learner builds it and the mapping
 table stores it.  A segment predicts ppa = ceil(K * x + I) where x is the
@@ -8,12 +8,14 @@ an intercept in absolute PPA units.  Approximate segments guarantee
 exactly and their members form an arithmetic LPA progression so membership
 is decidable from the slope alone (stride = ceil(1/K)).
 
-The learner works on index ranges: every piece it fits is points p..q-1
-of the batch's lpas and ppas lists, at group offsets lpa - base; no (x, y)
-point list is built.  _exact_runs lists a group's maximal exact runs
-(constant LPA stride, PPA step exactly 1); each of at least RUN_MIN members
-becomes an accurate segment (_fit_run, with no member check for stride 1).
-A leftover stretch between them is cut into its exact runs at gamma 0, and
+The learner takes one programmed block, its sorted LPAs with lpas[i] at
+PPA first + i, and pins every prediction to the block's PPAs.  It works on
+index ranges: every piece it fits is points p..q-1 of the block, at group
+offsets lpa - base; no (x, y) point list is built.  Since the PPAs are
+consecutive, an exact run is a maximal constant-stride LPA run;
+_exact_runs lists a group's, and each of at least RUN_MIN members becomes
+an accurate segment (_fit_run, with no member check for stride 1).  A
+leftover stretch between them is cut into its exact runs at gamma 0, and
 into the byte-minimal mix of runs and approximate pieces at gamma > 0
 (_dp_stretch), whose lines _cone bounds by each point's PPA window
 (_windows).  A stretch, or a half of a piece whose fit failed, clips the
@@ -22,7 +24,7 @@ inside any sub-range.  Run extraction does not depend on gamma, which keeps
 the output monotone: a wider gamma never yields more segments or more CRB
 bytes on the same input.
 
-Python-level work is per run and per leftover point, not per page: a batch
+Python-level work is per run and per leftover point, not per page: a block
 splits into groups by bisecting its LPAs, and along strictly increasing
 LPAs lpa - index is constant exactly on a stride-1 chain, so one bisect
 finds each stride-1 run.
@@ -35,8 +37,8 @@ import struct
 from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import repeat
-from operator import itemgetter, sub
-from typing import Optional, Sequence
+from operator import sub
+from typing import Optional
 
 GROUP_SIZE = 256
 # Minimum members for the run-extraction phase.  Shorter runs are cheaper to
@@ -178,16 +180,13 @@ class Segment:
         return f"<Segment {kind} [{self.start},{self.start + self.length}] k={self.slope:.4f}>"
 
 
-def _fits(k, intercept, lpas, ppas, base, p, q, gamma, bounds) -> bool:
+def _fits(k, intercept, lpas, base, p, q, lows, highs) -> bool:
     """Every prediction ceil(k*x + intercept) of points p..q-1, x = lpa -
-    base, is within gamma of its PPA (exact at gamma 0) and inside bounds,
-    if given."""
+    base, is inside its PPA window lows[i]..highs[i], indexed from p."""
     ceil = math.ceil
-    for x, y in zip(lpas[p:q], ppas[p:q]):
+    for x, lo, hi in zip(lpas[p:q], lows, highs):
         pred = ceil(k * (x - base) + intercept)
-        if pred - y > gamma or y - pred > gamma:
-            return False
-        if bounds is not None and not bounds[0] <= pred <= bounds[1]:
+        if pred < lo or pred > hi:
             return False
     return True
 
@@ -228,39 +227,27 @@ def _single_point(x: int, y: int) -> Segment:
     return Segment(x, 0, 0, 0.0, float(y), 1 << x)
 
 
-def _exact_runs(lpas, ppas, d, lo, hi) -> list:
-    """The maximal exact runs among points lo..hi-1: constant LPA stride
-    and a PPA step of exactly 1.  Returns (first, last) index pairs, last >
-    first, in order; a run's last point may be the next run's first.
+def _exact_runs(lpas, d, lo, hi) -> list:
+    """The maximal exact runs among points lo..hi-1: the PPAs step by 1,
+    so these are the maximal constant-stride LPA runs.  Returns (first,
+    last) index pairs, last > first, in order; a run's last point is the
+    next run's first.
 
     d[j] is lpas[j] - j, which never decreases along strictly increasing
     LPAs and is constant exactly along a stride-1 chain, so one bisect
-    finds where a stride-1 run ends and a slice compare checks its PPAs.
-    Only runs of another stride are walked point by point.
+    finds where a stride-1 run ends.  Only runs of another stride are
+    walked point by point.
     """
     runs = []
     last = hi - 1
     j = lo
     while j < last:
-        y = ppas[j]
-        if ppas[j + 1] - y != 1:
-            j += 1
-            continue
         step = lpas[j + 1] - lpas[j]
         if step == 1:
             e = bisect_right(d, d[j], j + 1, hi) - 1
-            if ppas[j : e + 1] != list(range(y, y + e - j + 1)):
-                # the compare failed, so a PPA step breaks before e
-                e = j + 1
-                while ppas[e + 1] - ppas[e] == 1:
-                    e += 1
         else:
             e = j + 1
-            while (
-                e < last
-                and lpas[e + 1] - lpas[e] == step
-                and ppas[e + 1] - ppas[e] == 1
-            ):
+            while e < last and lpas[e + 1] - lpas[e] == step:
                 e += 1
         runs.append((j, e))
         j = e
@@ -281,24 +268,25 @@ def _stretch_ends(runs, p, q) -> list:
     return ends
 
 
-def _windows(ppas, p, q, gamma, bounds) -> tuple:
+def _windows(lpas, first, p, q, gamma) -> tuple:
     """The PPA windows of points p..q-1, y - gamma to y + gamma clamped to
-    bounds if given: (lows, highs), indexed from p."""
-    floor, ceiling = (-math.inf, math.inf) if bounds is None else bounds
-    ys = ppas[p:q]
+    the block's PPAs first..first + len(lpas) - 1: (lows, highs), indexed
+    from p."""
+    last = first + len(lpas) - 1
+    ys = range(first + p, first + q)
     return (
-        [floor if y - gamma < floor else y - gamma for y in ys],
-        [ceiling if y + gamma > ceiling else y + gamma for y in ys],
+        [first if y - gamma < first else y - gamma for y in ys],
+        [last if y + gamma > last else y + gamma for y in ys],
     )
 
 
-def _cone(lpas, ppas, lows, highs, p, j, stop) -> tuple:
+def _cone(lpas, first, lows, highs, p, j, stop) -> tuple:
     """Grow the slope interval of lines through point p + j that pass every
     later point's window (see _windows), up to point p + stop or the first
     point no such line reaches.  Returns (end, lo, hi): the last covered
     index, from p, and the feasible slopes over points p + j .. p + end."""
     x0 = lpas[p + j]
-    y0 = ppas[p + j]
+    y0 = first + p + j
     lo, hi = 0.0, 1.0
     for i in range(j + 1, stop + 1):
         dx = lpas[p + i] - x0
@@ -313,7 +301,7 @@ def _cone(lpas, ppas, lows, highs, p, j, stop) -> tuple:
     return stop, lo, hi
 
 
-def _fit_run(lpas, ppas, base, p, q) -> Optional[Segment]:
+def _fit_run(lpas, first, base, p, q) -> Optional[Segment]:
     """Fit an accurate segment over the exact run of points p..q-1 (see
     _exact_runs), at group offsets lpa - base.
 
@@ -322,7 +310,7 @@ def _fit_run(lpas, ppas, base, p, q) -> Optional[Segment]:
     is predicted exactly and needs no check.
     """
     x0 = lpas[p] - base
-    y0 = ppas[p]
+    y0 = first + p
     span = lpas[q - 1] - lpas[p]
     if span == q - 1 - p and -_F32_EXACT < y0 - x0 < _F32_EXACT:
         return Segment(x0, span, _UNIT_BITS, 1.0, float(y0 - x0))
@@ -339,14 +327,15 @@ def _fit_run(lpas, ppas, base, p, q) -> Optional[Segment]:
     # Rounding the intercept up could undo the drift compensation and push
     # the last member one page past its PPA.
     intercept = _f32_floor(y0 - k * x0 - drift)
-    if not _fits(k, intercept, lpas, ppas, base, p, q, 0, None):
+    ys = range(y0, y0 + q - p)
+    if not _fits(k, intercept, lpas, base, p, q, ys, ys):
         return None
     return Segment(x0, span, bits, k, intercept)
 
 
-def _fit_approximate(lpas, ppas, base, p, q, gamma, bounds) -> Optional[Segment]:
-    lows, highs = _windows(ppas, p, q, gamma, bounds)
-    _, lo, hi = _cone(lpas, ppas, lows, highs, p, 0, q - p - 1)
+def _fit_approximate(lpas, first, base, p, q, gamma) -> Optional[Segment]:
+    lows, highs = _windows(lpas, first, p, q, gamma)
+    _, lo, hi = _cone(lpas, first, lows, highs, p, 0, q - p - 1)
     k_mid = (lo + hi) / 2.0
     if k_mid <= 0.0:
         return None
@@ -356,8 +345,8 @@ def _fit_approximate(lpas, ppas, base, p, q, gamma, bounds) -> Optional[Segment]
     # The cone corridor is centred half a page below each PPA so that the
     # ceil in predict() lands on the PPA itself rather than one past it.
     x0 = lpas[p] - base
-    intercept = _f32(ppas[p] - 0.5 - k * x0)
-    if not _fits(k, intercept, lpas, ppas, base, p, q, gamma, bounds):
+    intercept = _f32(first + p - 0.5 - k * x0)
+    if not _fits(k, intercept, lpas, base, p, q, lows, highs):
         return None
     bm = 0
     for x in lpas[p:q]:
@@ -365,7 +354,7 @@ def _fit_approximate(lpas, ppas, base, p, q, gamma, bounds) -> Optional[Segment]
     return Segment(x0, lpas[q - 1] - lpas[p], bits, k, intercept, bm)
 
 
-def _learn_stretch(lpas, ppas, base, runs, p, q, gamma, bounds, out) -> None:
+def _learn_stretch(lpas, first, base, runs, p, q, gamma, out) -> None:
     """Fit the leftover stretch of points p..q-1; runs are the group's
     _exact_runs that reach into it.
 
@@ -376,14 +365,14 @@ def _learn_stretch(lpas, ppas, base, runs, p, q, gamma, bounds, out) -> None:
     """
     ends = _stretch_ends(runs, p, q)
     if ends[0] == q - p - 1:
-        _emit(lpas, ppas, base, runs, p, q, True, gamma, bounds, out)
+        _emit(lpas, first, base, runs, p, q, True, gamma, out)
     elif gamma > 0:
-        _dp_stretch(lpas, ppas, base, runs, ends, p, q, gamma, bounds, out)
+        _dp_stretch(lpas, first, base, runs, ends, p, q, gamma, out)
     else:
         j = 0
         while j < q - p:
             e = ends[j] + 1
-            _emit(lpas, ppas, base, runs, p + j, p + e, True, gamma, bounds, out)
+            _emit(lpas, first, base, runs, p + j, p + e, True, gamma, out)
             j = e
 
 
@@ -393,14 +382,14 @@ def _learn_stretch(lpas, ppas, base, runs, p, q, gamma, bounds, out) -> None:
 _DP_BYTE = 1 << 10
 
 
-def _dp_stretch(lpas, ppas, base, runs, ends, p, q, gamma, bounds, out) -> None:
+def _dp_stretch(lpas, first, base, runs, ends, p, q, gamma, out) -> None:
     """Byte-minimal partition of the leftover stretch of points p..q-1
     into segments; ends are its _stretch_ends.
 
     A piece costs 8 bytes when it is a single point or an exact run
-    (constant LPA stride, PPA step exactly 1) and 9 + len bytes as an
-    approximate segment (8-byte encoding plus its conflict-resolution run).
-    Both piece families are prefix-closed, and every line feasible at gamma
+    (constant LPA stride) and 9 + len bytes as an approximate segment
+    (8-byte encoding plus its conflict-resolution run).  Both piece
+    families are prefix-closed, and every line feasible at gamma
     stays feasible at any wider gamma, so the optimum found here is
     non-increasing in gamma for the same input.
 
@@ -421,7 +410,7 @@ def _dp_stretch(lpas, ppas, base, runs, ends, p, q, gamma, bounds, out) -> None:
             if here < cap:
                 cap = here
         cone_cap[j] = cap
-    lows, highs = _windows(ppas, p, q, gamma, bounds)
+    lows, highs = _windows(lpas, first, p, q, gamma)
     # dp[i]: cost of the best partition of the first i points; ties in
     # bytes prefer fewer segments so wider gamma never returns more of
     # them.  Every dp[j] is finite by the time j is reached: point j - 1
@@ -443,7 +432,7 @@ def _dp_stretch(lpas, ppas, base, runs, ends, p, q, gamma, bounds, out) -> None:
             continue
         # the approximate pieces from j end at most where its cone does; a
         # piece over j..i costs 9 + (i - j + 1) bytes plus the absorb penalty
-        end = _cone(lpas, ppas, lows, highs, p, j, stop)[0]
+        end = _cone(lpas, first, lows, highs, p, j, stop)[0]
         cand = bj + (10 + ABSORB_PENALTY - j + r) * _DP_BYTE + 1
         for i in range(r + 1, end + 1):
             cand += _DP_BYTE
@@ -458,28 +447,28 @@ def _dp_stretch(lpas, ppas, base, runs, ends, p, q, gamma, bounds, out) -> None:
         i = j
     for j, i in reversed(cuts):
         exact = i - 1 <= ends[j]
-        _emit(lpas, ppas, base, runs, p + j, p + i, exact, gamma, bounds, out)
+        _emit(lpas, first, base, runs, p + j, p + i, exact, gamma, out)
 
 
-def _emit(lpas, ppas, base, runs, p, q, exact, gamma, bounds, out) -> None:
+def _emit(lpas, first, base, runs, p, q, exact, gamma, out) -> None:
     """Fit points p..q-1 as one piece; exact says they are an exact run
     (see _exact_runs), runs are the group's runs that reach into them."""
     if q - p == 1:
-        out.append(_single_point(lpas[p] - base, ppas[p]))
+        out.append(_single_point(lpas[p] - base, first + p))
         return
-    seg = _fit_run(lpas, ppas, base, p, q) if exact else None
+    seg = _fit_run(lpas, first, base, p, q) if exact else None
     if seg is None:
-        seg = _fit_approximate(lpas, ppas, base, p, q, gamma, bounds)
+        seg = _fit_approximate(lpas, first, base, p, q, gamma)
     if seg is not None:
         out.append(seg)
         return
     # Quantization pushed a prediction out of tolerance; split and refit.
     mid = (p + q) // 2
-    _learn_stretch(lpas, ppas, base, runs, p, mid, gamma, bounds, out)
-    _learn_stretch(lpas, ppas, base, runs, mid, q, gamma, bounds, out)
+    _learn_stretch(lpas, first, base, runs, p, mid, gamma, out)
+    _learn_stretch(lpas, first, base, runs, mid, q, gamma, out)
 
 
-def _learn_group(lpas, ppas, d, lo, hi, gamma, bounds) -> list:
+def _learn_group(lpas, first, d, lo, hi, gamma) -> list:
     """Segments of the group that holds points lo..hi-1 (two or more), in
     offset order.
 
@@ -489,7 +478,7 @@ def _learn_group(lpas, ppas, d, lo, hi, gamma, bounds) -> list:
     """
     base = lpas[lo] - lpas[lo] % GROUP_SIZE
     out: list = []
-    runs = _exact_runs(lpas, ppas, d, lo, hi)
+    runs = _exact_runs(lpas, d, lo, hi)
     pending = lo  # first point not yet fitted
     k0 = 0  # first run not wholly behind the last segment
     for k, (a, b) in enumerate(runs):
@@ -497,57 +486,49 @@ def _learn_group(lpas, ppas, d, lo, hi, gamma, bounds) -> list:
         if a < pending:
             a = pending
         while b - a + 1 >= RUN_MIN:
-            seg = _fit_run(lpas, ppas, base, a, b + 1)
+            seg = _fit_run(lpas, first, base, a, b + 1)
             if seg is not None:
                 break
             a += 1
         else:
             continue
         if pending < a:
-            _learn_stretch(
-                lpas, ppas, base, runs[k0 : k + 1], pending, a, gamma, bounds, out
-            )
+            _learn_stretch(lpas, first, base, runs[k0 : k + 1], pending, a, gamma, out)
         out.append(seg)
         pending = b + 1
         k0 = k + 1
     if pending < hi:
-        _learn_stretch(lpas, ppas, base, runs[k0:], pending, hi, gamma, bounds, out)
+        _learn_stretch(lpas, first, base, runs[k0:], pending, hi, gamma, out)
     return out
 
 
-def learn_segments(
-    points: Sequence,
-    gamma: int,
-    bounds: Optional[tuple] = None,
-) -> list:
-    """Fit segments over a batch of (lpa, ppa) pairs sorted by LPA.
+def learn_segments(lpas, first_ppa: int, gamma: int) -> list:
+    """Fit segments over one programmed block: lpas sorted by LPA, strictly
+    increasing, lpas[i] at PPA first_ppa + i.
 
-    Segments never cross a 256-LPA group boundary.  When bounds
-    (min_ppa, max_ppa) are supplied, every prediction of every returned
-    segment is guaranteed to land inside them; the FTL uses this to pin
-    predictions to the flash block that holds the batch.
+    Segments never cross a 256-LPA group boundary, and every prediction of
+    every returned segment lands inside the block's PPAs, first_ppa to
+    first_ppa + len(lpas) - 1.
 
     Returns (group id, Segment) pairs in LPA order; the members the
     segments encode partition the input.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    n = len(points)
-    lpas = list(map(itemgetter(0), points))
-    ppas = list(map(itemgetter(1), points))
+    n = len(lpas)
     # lpas[j] - j never decreases exactly when the LPAs strictly increase
     d = list(map(sub, lpas, range(n)))
     if d != sorted(d):
-        raise ValueError("batch LPAs must be strictly increasing")
+        raise ValueError("block LPAs must be strictly increasing")
     out: list = []
     lo = 0
     while lo < n:
         gid = lpas[lo] // GROUP_SIZE
         hi = bisect_left(lpas, (gid + 1) * GROUP_SIZE, lo + 1)
         if hi - lo == 1:
-            out.append((gid, _single_point(lpas[lo] % GROUP_SIZE, ppas[lo])))
+            out.append((gid, _single_point(lpas[lo] % GROUP_SIZE, first_ppa + lo)))
         else:
-            segs = _learn_group(lpas, ppas, d, lo, hi, gamma, bounds)
+            segs = _learn_group(lpas, first_ppa, d, lo, hi, gamma)
             out += zip(repeat(gid), segs)
         lo = hi
     return out

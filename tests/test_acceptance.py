@@ -53,8 +53,9 @@ def small_device(**kw):
 
 
 def random_batch(rng, gamma):
-    """One learning batch: (lpa, ppa) pairs, LPAs strictly increasing,
-    PPAs consecutive (the shape a sorted flush produces)."""
+    """One programmed block as the learner takes it: (lpas, first PPA),
+    LPAs strictly increasing, lpas[i] at PPA first + i (the shape a sorted
+    flush produces)."""
     kind = rng.choice(("sequential", "strided", "random", "mixed"))
     size = rng.randrange(2, 65)
     base_lpa = rng.randrange(1 << 20)
@@ -72,7 +73,7 @@ def random_batch(rng, gamma):
             run = min(rng.randrange(1, 9), size - len(lpas))
             lpas.extend(cur + i for i in range(run))
             cur += run + rng.randrange(1, 50)
-    return [(lpa, base_ppa + i) for i, lpa in enumerate(lpas)]
+    return lpas, base_ppa
 
 
 def test_criterion_01_gamma_bound_property():
@@ -83,9 +84,9 @@ def test_criterion_01_gamma_bound_property():
     checked = 0
     for batch_no in range(10000):
         gamma = (0, 1, 4, 8, 16)[batch_no % 5]
-        pts = random_batch(rng, gamma)
-        truth = dict(pts)
-        segs = learn_segments(pts, gamma)
+        lpas, first = random_batch(rng, gamma)
+        truth = dict(zip(lpas, range(first, first + len(lpas))))
+        segs = learn_segments(lpas, first, gamma)
         members = []
         for gid, seg in segs:
             # members as the stored encoding gives them to lookups
@@ -102,7 +103,7 @@ def test_criterion_01_gamma_bound_property():
                     assert abs(pred - truth[lpa]) <= gamma, (batch_no, lpa)
                 members.append(lpa)
                 checked += 1
-        assert sorted(members) == [lpa for lpa, _ in pts], batch_no
+        assert sorted(members) == lpas, batch_no
     elapsed = time.time() - start
     assert elapsed < 60.0
     print(
@@ -268,12 +269,10 @@ def test_criterion_08_buffer_sort_property():
             j = i
             while j + 1 < size and lpas[j + 1] > lpas[j]:
                 j += 1
-            pts = [(lpas[k], base + k) for k in range(i, j + 1)]
-            unsorted_count += len(learn_segments(pts, gamma))
+            unsorted_count += len(learn_segments(lpas[i : j + 1], base + i, gamma))
             i = j + 1
         # sorted flush: same pages, PPAs assigned in LPA order
-        pairs = [(lpa, base + r) for r, lpa in enumerate(sorted(lpas))]
-        sorted_count = len(learn_segments(pairs, gamma))
+        sorted_count = len(learn_segments(sorted(lpas), base, gamma))
         assert sorted_count <= unsorted_count, trial
     print("criterion 8 PASS: 1000 buffers, sorted <= unsorted everywhere")
 
@@ -290,9 +289,7 @@ def test_criterion_09_compaction_semantics():
         for _ in range(rng.randrange(10, 60)):
             count = rng.randrange(1, 33)
             lpas = sorted(rng.sample(range(768), count))
-            table.insert_fitted(
-                learn_segments([(l, ppa + i) for i, l in enumerate(lpas)], gamma)
-            )
+            table.insert_fitted(learn_segments(lpas, ppa, gamma))
             ppa += count
             live.update(lpas)
         before_mem = table.total_bytes

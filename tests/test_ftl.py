@@ -7,7 +7,7 @@ from collections import OrderedDict
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from ftlsim import sim
@@ -22,6 +22,11 @@ from ftlsim.workload import TraceEvent, synth
 from reference_tpage_cache import ReferenceDftl, ReferenceSftl
 
 KINDS = {"leaftl": LeaFtl, "dftl": Dftl, "sftl": Sftl}
+
+# Each example of the slow sim.run equivalence tests runs whole traces, so
+# shrinking a failure would take minutes; these tests report the first
+# failing example as it was generated.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def make(kind, gamma=0, **kw):
@@ -804,7 +809,7 @@ def test_block_invalidation_matches_per_page_lookups(
 @pytest.mark.parametrize(
     "kind,reference", [("dftl", ReferenceDftl), ("sftl", ReferenceSftl)]
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 @given(
     ops=trace_ops,
     dram=st.integers(1, 5 * 256 - 1),
@@ -896,7 +901,7 @@ class _DecodingLeaFtl(_SeparateLruLeaFtl):
         return super()._load_unit(gid)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
 @given(
     synth_kind=st.sampled_from(["zipf", "random"]),
     seed=st.integers(0, 2**16),
@@ -956,7 +961,7 @@ def test_eviction_encodes_nothing():
     assert spy.call_count == 0
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
 @given(
     synth_kind=st.sampled_from(["zipf", "random"]),
     seed=st.integers(0, 2**16),

@@ -26,31 +26,31 @@ from ftlsim.mapping import (
 from ftlsim.plr import decode_slope, learn_segments, members, quantize_slope
 
 
-def fitted(points, gamma=0):
-    return [seg for _, seg in learn_segments(points, gamma)]
+def fitted(lpas, first, gamma=0):
+    return [seg for _, seg in learn_segments(lpas, first, gamma)]
 
 
 def bitmap(offsets):
     return sum(1 << o for o in offsets)
 
 
-def insert_points(group, points, gamma=0):
-    for seg in fitted(points, gamma):
+def insert_block(group, lpas, first, gamma=0):
+    for seg in fitted(lpas, first, gamma):
         group.seg_update(seg)
 
 
 class TestWalkthrough:
     def test_disjoint_inserts_share_level_zero(self):
         g = GroupTable()
-        insert_points(g, [(i, 1000 + i) for i in range(64)])
-        insert_points(g, [(i, 3000 + i - 200) for i in range(200, 256)])
+        insert_block(g, list(range(64)), 1000)
+        insert_block(g, list(range(200, 256)), 3000)
         assert len(g.levels) == 1
         assert [s.start for s in g.levels[0]] == [0, 200]
 
     def test_overlap_demotes_old_segment(self):
         g = GroupTable()
-        insert_points(g, [(i, 1000 + i) for i in range(64)])
-        insert_points(g, [(i, 2000 + i - 16) for i in range(16, 32)])
+        insert_block(g, list(range(64)), 1000)
+        insert_block(g, list(range(16, 32)), 2000)
         assert len(g.levels) == 2
         # old segment keeps its start but loses the overwritten members
         old = g.levels[1][0]
@@ -62,10 +62,8 @@ class TestWalkthrough:
 
     def test_crb_ownership_resolves_approximate_overlap(self):
         g = GroupTable()
-        old_pts = [(75, 500), (78, 501), (80, 502), (82, 503)]
-        insert_points(g, old_pts, gamma=4)
-        new_pts = [(72, 600), (74, 601), (80, 602)]
-        insert_points(g, new_pts, gamma=4)
+        insert_block(g, [75, 78, 80, 82], 500, gamma=4)
+        insert_block(g, [72, 74, 80], 600, gamma=4)
         assert len(g.levels) == 2
         # 80 belongs to the new run now; 78 still resolves through the old
         runs = sorted(g.crb_runs())
@@ -78,8 +76,8 @@ class TestWalkthrough:
 
     def test_crb_start_shift_when_run_head_overwritten(self):
         g = GroupTable()
-        insert_points(g, [(10, 100), (13, 101), (15, 102), (18, 103)], gamma=4)
-        insert_points(g, [(10, 200), (11, 201)], gamma=0)
+        insert_block(g, [10, 13, 15, 18], 100, gamma=4)
+        insert_block(g, [10, 11], 200, gamma=0)
         runs = sorted(g.crb_runs())
         assert runs == [[13, 15, 18]]
         old = [s for lvl in g.levels for s in lvl if not s.accurate]
@@ -125,25 +123,25 @@ class TestHasLpaAndBitmap:
 class TestSegMerge:
     def test_full_cover_marks_removable(self):
         g = GroupTable()
-        old = fitted([(i, 100 + i) for i in range(72, 81)])[0]
-        new = fitted([(i, 500 + i) for i in range(32, 91)])[0]
+        old = fitted(list(range(72, 81)), 172)[0]
+        new = fitted(list(range(32, 91)), 532)[0]
         seg_merge(new, old, g)
         assert old.length == -1
         assert old.end == old.start  # a removed segment ends where it starts
 
     def test_partial_mask_keeps_bounds(self):
         g = GroupTable()
-        old = fitted([(i, 100 + i) for i in range(64)])[0]
-        new = fitted([(i, 500 + i) for i in range(16, 32)])[0]
+        old = fitted(list(range(64)), 100)[0]
+        new = fitted(list(range(16, 32)), 516)[0]
         seg_merge(new, old, g)
         assert old.start == 0 and old.end == 63
         assert old.length != -1
 
     def test_disjoint_untouched(self):
         g = GroupTable()
-        old = fitted([(i, 100 + i) for i in range(10)])[0]
+        old = fitted(list(range(10)), 100)[0]
         before = (old.start, old.length, old.slope_bits, old.intercept)
-        new = fitted([(i, 500 + i) for i in range(100, 120)])[0]
+        new = fitted(list(range(100, 120)), 600)[0]
         seg_merge(new, old, g)
         assert (old.start, old.length, old.slope_bits, old.intercept) == before
 
@@ -156,7 +154,7 @@ class TestMemoryAccounting:
 
     def test_one_segment(self):
         t = MappingTable()
-        t.insert_fitted(learn_segments([(i, 50 + i) for i in range(32)], 0))
+        t.insert_fitted(learn_segments(list(range(32)), 50, 0))
         fp = t.memory_footprint()
         assert fp["segment_bytes"] == SEGMENT_BYTES
         assert fp["crb_bytes"] == 0
@@ -167,9 +165,7 @@ class TestMemoryAccounting:
         t = MappingTable()
         pages = 64 * GROUP_SIZE
         for base in range(0, pages, 256):
-            t.insert_fitted(
-                learn_segments([(base + i, base + i) for i in range(256)], 0)
-            )
+            t.insert_fitted(learn_segments(list(range(base, base + 256)), base, 0))
         fp = t.memory_footprint()
         assert fp["total_bytes"] == 64 * (SEGMENT_BYTES + GROUP_OVERHEAD_BYTES)
 
@@ -179,11 +175,9 @@ def apply_batches(table, oracle, rng, batches, gamma, span, batch=32):
     for _ in range(batches):
         count = rng.randrange(1, batch + 1)
         lpas = sorted(rng.sample(range(span), count))
-        pts = [(lpa, ppa + i) for i, lpa in enumerate(lpas)]
+        table.insert_fitted(learn_segments(lpas, ppa, gamma))
+        oracle.update(zip(lpas, range(ppa, ppa + count)))
         ppa += count
-        table.insert_fitted(learn_segments(pts, gamma))
-        for lpa, p in pts:
-            oracle[lpa] = p
 
 
 def check_oracle(table, oracle, gamma):
@@ -200,7 +194,7 @@ def check_oracle(table, oracle, gamma):
 class TestCompaction:
     def test_single_level_noop(self):
         t = MappingTable()
-        t.insert_fitted(learn_segments([(i, i) for i in range(256)], 0))
+        t.insert_fitted(learn_segments(list(range(256)), 0, 0))
         before = t.total_bytes
         t.compact()
         assert t.total_bytes == before
@@ -223,12 +217,12 @@ class TestCompaction:
 
     def test_memory_drops_for_fully_shadowed_segment(self):
         t = MappingTable()
-        t.insert_fitted(learn_segments([(i, i) for i in range(64)], 0))
+        t.insert_fitted(learn_segments(list(range(64)), 0, 0))
         # sparse overwrite inside [0,63]: ranges still overlap after
         # masking, so the old segment is demoted rather than merged
-        t.insert_fitted(learn_segments([(30, 500), (32, 501), (34, 502)], 2))
+        t.insert_fitted(learn_segments([30, 32, 34], 500, 2))
         # full rewrite replaces the level-0 segment but cannot see level 1
-        t.insert_fitted(learn_segments([(i, 1000 + i) for i in range(64)], 0))
+        t.insert_fitted(learn_segments(list(range(64)), 1000, 0))
         assert len(t.groups[0].levels) == 2
         before = t.total_bytes
         t.compact()
@@ -247,9 +241,9 @@ class TestCleanGroupsSkipCompaction:
     @staticmethod
     def two_groups():
         t = MappingTable()
-        t.insert_fitted(learn_segments([(i, 1000 + i) for i in range(64)], 0))
-        t.insert_fitted(learn_segments([(i, 2000 + i) for i in range(16, 32)], 4))
-        t.insert_fitted(learn_segments([(256 + i, 3000 + i) for i in range(8)], 0))
+        t.insert_fitted(learn_segments(list(range(64)), 1000, 0))
+        t.insert_fitted(learn_segments(list(range(16, 32)), 2016, 4))
+        t.insert_fitted(learn_segments(list(range(256, 264)), 3000, 0))
         return t
 
     @staticmethod
@@ -275,7 +269,7 @@ class TestCleanGroupsSkipCompaction:
     def test_one_update_makes_its_group_compact_again(self):
         t = self.two_groups()
         t.compact()
-        t.insert_fitted(learn_segments([(40, 5000)], 0))
+        t.insert_fitted(learn_segments([40], 5000, 0))
         assert self.compacted_groups(t) == [[t.groups[0]]]
         assert t.lookup(40)[0] == 5000
 
@@ -403,12 +397,11 @@ def test_group_counters_and_blobs_stay_current(ops):
     t = MappingTable()
     ppa = 1000
     for op, lpas, gamma, level in ops:
-        pts = [(lpa, ppa + i) for i, lpa in enumerate(sorted(lpas))]
-        ppa += len(pts) + 3
+        lpas = sorted(lpas)
         if op == "insert":
-            t.insert_fitted(learn_segments(pts, gamma))
+            t.insert_fitted(learn_segments(lpas, ppa, gamma))
         elif op == "seg_update":
-            for gid, seg in learn_segments(pts, gamma):
+            for gid, seg in learn_segments(lpas, ppa, gamma):
                 t.group(gid).seg_update(seg, level)
                 t._touch(gid, t.groups[gid])
         elif op == "compact":
@@ -417,6 +410,7 @@ def test_group_counters_and_blobs_stay_current(ops):
             # a round trip keeps each group's bytes, so total_bytes holds
             for gid, group in t.groups.items():
                 t.groups[gid] = deserialize_group(serialize_group(group))
+        ppa += len(lpas) + 3
         for group in t.groups.values():
             check_group_invariants(group)
         assert t.total_bytes == sum(g.bytes() for g in t.groups.values())
@@ -435,8 +429,7 @@ fitted_batches = st.lists(
     st.tuples(
         st.sets(st.integers(0, 2 * GROUP_SIZE - 1), min_size=1, max_size=64),
         st.integers(0, 16),  # gamma
-        st.booleans(),  # bounded to the batch's PPA range, as leaftl does
-        st.integers(0, (1 << 24) - 64),  # first PPA of the batch
+        st.integers(0, (1 << 24) - 64),  # first PPA of the block
         st.booleans(),  # compact afterwards
     ),
     min_size=1,
@@ -446,7 +439,7 @@ fitted_batches = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(fitted_batches)
-@example([(set(range(0, 64, 3)), 0, True, (1 << 24) - 64, False)])
+@example([(set(range(0, 64, 3)), 0, (1 << 24) - 64, False)])
 def test_serialization_is_lossless(batches):
     """Decoding a group's blob rebuilds the group: same levels and starts,
     the same value in every segment field, the same counters and byte
@@ -454,10 +447,8 @@ def test_serialization_is_lossless(batches):
     largest a leaftl device has, so binary32 intercepts stay exact; this is
     what lets a reloaded leaftl group reuse its evicted object."""
     t = MappingTable()
-    for lpas, gamma, bounded, first, compact in batches:
-        pts = [(lpa, first + i) for i, lpa in enumerate(sorted(lpas))]
-        bounds = (first, first + len(pts) - 1) if bounded else None
-        t.insert_fitted(learn_segments(pts, gamma, bounds))
+    for lpas, gamma, first, compact in batches:
+        t.insert_fitted(learn_segments(sorted(lpas), first, gamma))
         if compact:
             t.compact()
     for group in t.groups.values():
@@ -518,14 +509,14 @@ def test_seg_update_matches_per_victim_reference(steps):
     group, ref = GroupTable(), GroupTable()
     ppa = 5000
     for lpas, gamma, level in steps:
-        pts = [(lpa, ppa + i) for i, lpa in enumerate(sorted(lpas))]
-        ppa += len(pts) + 7
+        lpas = sorted(lpas)
         # the table updates segments in place, so each side fits its own
         for (_, seg), (_, twin) in zip(
-            learn_segments(pts, gamma), learn_segments(pts, gamma)
+            learn_segments(lpas, ppa, gamma), learn_segments(lpas, ppa, gamma)
         ):
             group.seg_update(seg, level)
             reference_seg_update(ref, twin, level)
+        ppa += len(lpas) + 7
         assert group_state(group)[:3] == group_state(ref)[:3]
 
 
@@ -580,13 +571,13 @@ def test_masking_matches_the_reference(steps):
     group, ref = GroupTable(), _ReferenceGroup()
     ppa = 7000
     for lpas, gamma, level in steps:
-        pts = [(lpa, ppa + i) for i, lpa in enumerate(sorted(lpas))]
-        ppa += len(pts) + 5
+        lpas = sorted(lpas)
         for (_, seg), (_, twin) in zip(
-            learn_segments(pts, gamma), learn_segments(pts, gamma)
+            learn_segments(lpas, ppa, gamma), learn_segments(lpas, ppa, gamma)
         ):
             group.seg_update(seg, level)
             ref.seg_update(twin, level)
+        ppa += len(lpas) + 5
         assert group_state(group) == group_state(ref)
 
 
@@ -730,12 +721,11 @@ def test_bitmaps_match_a_list_reference(steps):
             group = deserialize_group(serialize_group(group))
         else:
             offsets = sorted(lpas)
-            pts = [(lpa, ppa + i) for i, lpa in enumerate(offsets)]
-            ppa += len(pts) + 9
-            for _, seg in learn_segments(pts, gamma):
+            for _, seg in learn_segments(offsets, ppa, gamma):
                 twin = ListSeg(seg, offsets)
                 group.seg_update(seg, level)
                 ref.seg_update(twin, level)
+            ppa += len(offsets) + 9
         assert len(group.levels) == len(ref.levels)
         for got, want in zip(group.levels, ref.levels):
             assert [(s.start, s.end, s.bm) for s in got] == [
@@ -779,10 +769,10 @@ def test_compaction_reaches_its_fixpoint(steps):
     group = GroupTable()
     ppa = 11000
     for lpas, gamma, level in steps:
-        pts = [(lpa, ppa + i) for i, lpa in enumerate(sorted(lpas))]
-        ppa += len(pts) + 3
-        for _, seg in learn_segments(pts, gamma):
+        lpas = sorted(lpas)
+        for _, seg in learn_segments(lpas, ppa, gamma):
             group.seg_update(seg, level)
+        ppa += len(lpas) + 3
     pairwise = deserialize_group(serialize_group(group))
     before = lookups(group)
     group.seg_compact()
